@@ -15,7 +15,7 @@ m4 = hadamard_m4()
 library = gate_set_G()
 print("gate library:", ", ".join(g.name for g in library))
 
-census, sets = enumerate_promise_sets(library, SIGMA_STAR, m4, threads=4)
+census, sets = enumerate_promise_sets(library, SIGMA_STAR, m4)
 print(f"\npromise-satisfying assignments: {census.total}")
 for y, count in enumerate(census.per_column):
     print(f"  column {y}: {count}")

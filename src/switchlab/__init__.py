@@ -34,9 +34,8 @@ from .supersequences import (QuartetCensus, SupersequenceResult,
                              scs)
 from .switch import (NoiseModel, OracleSet, PermutationSet, RunResult,
                      SIGMA_STAR, all_products, apply_n_switch,
-                     dimension_constraint_ok, product_pi,
-                     run_fourier_algorithm, run_hadamard_algorithm,
-                     sample_shots)
+                     dimension_constraint_ok, run_fourier_algorithm,
+                     run_hadamard_algorithm, sample_shots)
 
 __version__ = "0.1.0"
 
@@ -55,11 +54,11 @@ __all__ = [
     "embed_sequence", "enumerate_promise_sets", "equivalence_classes",
     "fidelity", "find_conjugator", "find_rotation_conjugator",
     "fourier_matrix", "gate_set_G", "hadamard_m4", "is_supersequence",
-    "kron_all", "oracle_choi_ket", "partial_trace", "pauli", "product_pi",
-    "quartet_census", "random_state", "random_unitary",
-    "run_fourier_algorithm", "run_hadamard_algorithm", "sample_shots", "scs",
-    "simulate_fixed_circuit", "success_probability", "superinstrument",
-    "switch_equivalence_fidelity", "sylvester_hadamard", "tensor_product",
-    "trace_out_pure", "uniform_witness", "verify_ccgo_decomposition",
-    "verify_classification", "witness_operator",
+    "kron_all", "oracle_choi_ket", "partial_trace", "pauli", "quartet_census",
+    "random_state", "random_unitary", "run_fourier_algorithm",
+    "run_hadamard_algorithm", "sample_shots", "scs", "simulate_fixed_circuit",
+    "success_probability", "superinstrument", "switch_equivalence_fidelity",
+    "sylvester_hadamard", "tensor_product", "trace_out_pure",
+    "uniform_witness", "verify_ccgo_decomposition", "verify_classification",
+    "witness_operator",
 ]

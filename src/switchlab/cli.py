@@ -14,7 +14,6 @@ import time
 
 import numpy as np
 
-from ._parallel import resolve_threads
 from .fixed_order import (attack_combined, attack_table1, attack_table2,
                           build_fixed_circuit, switch_equivalence_fidelity)
 from .gates import NamedGate, SignMatrix, gate_set_G, hadamard_m4, pauli, sylvester_hadamard
@@ -133,9 +132,8 @@ def resolve_oracle(table: str, column: int) -> OracleSet:
 # ---------------------------------------------------------------------------
 
 def cmd_scs(args) -> dict:
-    threads = resolve_threads(args.threads)
     if args.census:
-        census = quartet_census(threads=threads)
+        census = quartet_census()
         return {
             "histogram": {str(k): v for k, v in census.histogram.items()},
             "total_quartets": census.total,
@@ -155,11 +153,10 @@ def cmd_scs(args) -> dict:
 
 
 def cmd_enumerate(args) -> dict:
-    threads = resolve_threads(args.threads)
     gates = resolve_gates(args.gates)
     perms = resolve_perms(args.perms)
     matrix = resolve_matrix(args.matrix, perms.P)
-    census, sets = enumerate_promise_sets(gates, perms, matrix, threads=threads)
+    census, sets = enumerate_promise_sets(gates, perms, matrix)
     results: dict = {
         "total": census.total,
         "per_column": list(census.per_column),
@@ -318,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (default: SWITCHLAB_THREADS or all cores)")
         p.add_argument("--pretty", action="store_true", help="human-readable output")
         p.add_argument("--csv", action="store_true", help="emit histograms as CSV")
 

@@ -20,9 +20,7 @@ from .linalg import (InvariantViolation, LabeledSpace, as_state, basis_state,
                      kron_all, trace_out_pure)
 from .oracles import chart_fixture
 from .supersequences import SupersequenceResult
-from .switch import OracleSet, PermutationSet, apply_n_switch
-
-_LABELS = "ABCDEFGH"
+from .switch import _LABELS, OracleSet, PermutationSet, apply_n_switch
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ tables, and conjugation-equivalence classification.
 The promise is exact operator equality including global phase: every
 ordering product must equal a +-1 multiple of the reference product, with
 the signs forming one column of the sign matrix.  Enumeration iterates all
-ordered gate assignments (labels matter), vectorized over index chunks with
-a deterministic merge.
+ordered gate assignments (labels matter) in lexicographic order, vectorized
+over fixed-size slices of assignments.
 
 Equivalence of gate sets under a common change of basis is decided
 explicitly: the intertwiner space {V : V U_i = U'_i V} is the nullspace of
@@ -16,17 +16,25 @@ relevant when the sets only enter through their Choi projectors.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import chunked, ordered_map
 from .gates import NamedGate, SignMatrix, pauli
 from .linalg import InvariantViolation
-from .switch import OracleSet, PermutationSet, all_products
+from .switch import OracleSet, PermutationSet, _ordering_products, all_products
 
 PROMISE_TOL = 1e-9
+_CHUNK = 4096   # assignments checked per vectorized batch
+
+
+def _promise_residuals(prods: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Worst deviation of the ordering products ``prods[..., P, d, d]`` from
+    ``signs[x, y]`` times the reference product, per column y: shape
+    ``[..., Y]``."""
+    ref = prods[..., :1, :, :]
+    return np.stack([np.max(np.abs(prods - col[:, None, None] * ref), axis=(-3, -2, -1))
+                     for col in signs.T], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -42,11 +50,7 @@ def check_promise(oracle: OracleSet, perms: PermutationSet, m: SignMatrix,
     for the signs of some column; returns the smallest such column."""
     if m.P != perms.P:
         raise ValueError("sign-matrix order does not match the permutation set")
-    pis = all_products(oracle, perms)
-    signs = m.entries.astype(float)
-    # residual per column: worst deviation over orderings and entries
-    diffs = pis[:, None] - signs[:, :, None, None] * pis[0][None, None]
-    residuals = np.max(np.abs(diffs), axis=(0, 2, 3))
+    residuals = _promise_residuals(all_products(oracle, perms), m.entries.astype(float))
     hits = np.flatnonzero(residuals <= tol)
     if hits.size:
         y = int(hits[0])
@@ -64,54 +68,30 @@ class EnumerationCensus:
             raise ValueError("total disagrees with per-column counts")
 
 
-def _enumerate_chunk(args):
-    mats, sigma, signs, combos, tol = args
-    q = np.asarray(combos)
-    p, n = signs.shape[0], len(sigma)
-    prods = np.empty((p,) + (q.shape[0],) + mats.shape[1:], dtype=complex)
-    for x, sig in enumerate(sigma):
-        cur = mats[q[:, sig[0]]]
-        for j in sig[1:]:
-            cur = np.matmul(mats[q[:, j]], cur)
-        prods[x] = cur
-    hits = []
-    counts = np.zeros(p, dtype=np.int64)
-    residual = np.empty((q.shape[0], p))
-    for y in range(p):
-        diff = prods - signs[:, y][:, None, None, None] * prods[0][None]
-        residual[:, y] = np.max(np.abs(diff).reshape(p, q.shape[0], -1), axis=(0, 2))
-    ok = residual <= tol
-    any_ok = ok.any(axis=1)
-    first_y = np.argmax(ok, axis=1)
-    for c in np.flatnonzero(any_ok):
-        y = int(first_y[c])
-        counts[y] += 1
-        hits.append((tuple(int(i) for i in q[c]), y))
-    return counts, hits
-
-
 def enumerate_promise_sets(gates, perms: PermutationSet, m: SignMatrix,
-                           tol: float = PROMISE_TOL, threads: int = 1):
+                           tol: float = PROMISE_TOL):
     """Check every ordered assignment of the given gates to the N slots.
 
     Returns (census, sets); each satisfying assignment becomes an OracleSet
-    carrying its verified column.  Chunks are merged by assignment index, so
-    the output order never depends on the thread count.
+    carrying its verified column, in lexicographic order of the assignment.
     """
+    if m.P != perms.P:
+        raise ValueError("sign-matrix order does not match the permutation set")
     gates = list(gates)
     if not gates:
         raise ValueError("gate list must be nonempty")
     mats = np.stack([g.matrix for g in gates])
-    combos = list(itertools.product(range(len(gates)), repeat=perms.N))
-    chunks = chunked(combos, 4096)
-    args = [(mats, perms.sigma, m.entries.astype(float), c, tol) for c in chunks]
-    results = ordered_map(_enumerate_chunk, args, threads)
+    signs = m.entries.astype(float)
+    combos = np.indices((len(gates),) * perms.N).reshape(perms.N, -1).T
     counts = np.zeros(m.P, dtype=np.int64)
     sets: list[OracleSet] = []
-    for chunk_counts, hits in results:
-        counts += chunk_counts
-        for combo, y in hits:
-            sets.append(OracleSet(tuple(gates[i] for i in combo), claimed_y=y))
+    for start in range(0, len(combos), _CHUNK):
+        q = combos[start:start + _CHUNK]
+        ok = _promise_residuals(_ordering_products(mats[q], perms.sigma), signs) <= tol
+        for c in np.flatnonzero(ok.any(axis=1)):
+            y = int(np.argmax(ok[c]))   # smallest satisfied column
+            counts[y] += 1
+            sets.append(OracleSet(tuple(gates[i] for i in q[c]), claimed_y=y))
     census = EnumerationCensus(int(counts.sum()), tuple(int(c) for c in counts))
     return census, sets
 
@@ -244,15 +224,20 @@ def find_conjugator(a: OracleSet, b: OracleSet, tol: float = 1e-8) -> np.ndarray
 
 def find_rotation_conjugator(a: OracleSet, b: OracleSet, tol: float = 1e-8) -> np.ndarray | None:
     """Rotation R with R R(U_i) R^T = R(U'_i) for all i: conjugation
-    equivalence up to arbitrary per-gate phases.  Returns a real orthogonal
-    3x3 matrix or None."""
+    equivalence up to arbitrary per-gate phases.  Returns a proper rotation
+    (real orthogonal 3x3 with determinant +1) or None."""
     ra = [bloch_rotation(u) for u in a.matrices()]
     rb = [bloch_rotation(u) for u in b.matrices()]
 
     def verify(o):
         return max(np.max(np.abs(o @ r @ o.T - s)) for r, s in zip(ra, rb))
 
-    return _intertwiner(ra, rb, 3, verify, tol, real=True)
+    o = _intertwiner(ra, rb, 3, verify, tol, real=True)
+    # -O conjugates exactly like O and, in three dimensions, flips the sign
+    # of the determinant; only a proper rotation is the image of a unitary
+    if o is not None and np.linalg.det(o) < 0:
+        o = -o
+    return o
 
 
 def _strict_fingerprint(oracle: OracleSet) -> tuple:

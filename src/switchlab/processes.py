@@ -90,10 +90,21 @@ class ProcessMatrix:
         return [s.label for s in self.spaces]
 
 
-def _reorder_ket(vec: np.ndarray, labels: list[str], dims: list[int],
-                 target_labels: list[str]) -> np.ndarray:
-    order = [labels.index(lab) for lab in target_labels]
-    return reorder_vector(vec, dims, order)
+def _chain_ket(order, head, tail, spaces) -> np.ndarray:
+    """Ket over ``spaces`` for the slots wired in ``order``: the ``head``
+    factors, identity links from each slot's output to the next slot's input
+    and from the last output to t_f, then the ``tail`` factors.  ``head`` and
+    ``tail`` are lists of (vector, labels) pairs; the head must end on the
+    first slot's input."""
+    slots = [PARTY_NAMES[j] for j in order]
+    ends = [f"{b}_I" for b in slots[1:]] + ["t_f"]
+    links = [(_LINK, [f"{a}_O", b]) for a, b in zip(slots, ends)]
+    parts = list(head) + links + list(tail)
+    labels = [lab for _, labs in parts for lab in labs]
+    dims = {sp.label: sp.dim for sp in spaces}
+    vec = kron_all([v for v, _ in parts])
+    return reorder_vector(vec, [dims[lab] for lab in labels],
+                          [labels.index(sp.label) for sp in spaces])
 
 
 def build_switch_process_ket(perms: PermutationSet = SIGMA_STAR) -> np.ndarray:
@@ -105,25 +116,12 @@ def build_switch_process_ket(perms: PermutationSet = SIGMA_STAR) -> np.ndarray:
     """
     p = perms.P
     spaces = switch_process_spaces(p)
-    dims = space_dims(spaces)
-    target_labels = [s.label for s in spaces]
-    total = np.zeros(int(np.prod(dims)), dtype=complex)
-    for x in range(p):
-        sig = perms.sigma[x]
+    total = np.zeros(int(np.prod(space_dims(spaces))), dtype=complex)
+    for x, sig in enumerate(perms.sigma):
         basis_x = np.zeros(p, dtype=complex)
         basis_x[x] = 1.0
-        factors = [basis_x, _LINK]
-        labels = ["c_p", "t_p", f"{PARTY_NAMES[sig[0]]}_I"]
-        for j in range(perms.N - 1):
-            factors.append(_LINK)
-            labels.extend([f"{PARTY_NAMES[sig[j]]}_O", f"{PARTY_NAMES[sig[j + 1]]}_I"])
-        factors.append(_LINK)
-        labels.extend([f"{PARTY_NAMES[sig[-1]]}_O", "t_f"])
-        factors.append(basis_x)
-        labels.append("c_f")
-        vec = kron_all(factors)
-        branch_dims = [dict(zip(target_labels, dims))[lab] for lab in labels]
-        total += _reorder_ket(vec, labels, branch_dims, target_labels)
+        head = [(basis_x, ["c_p"]), (_LINK, ["t_p", f"{PARTY_NAMES[sig[0]]}_I"])]
+        total += _chain_ket(sig, head, [(basis_x, ["c_f"])], spaces)
     return total
 
 
@@ -134,7 +132,8 @@ def build_effective_ket(target_in: np.ndarray, m: SignMatrix,
     The uniform control preparation weights every branch by 1/sqrt(P), the
     target state enters the first gate slot of each branch, and the inverse
     control gate acts before the readout register ``c``.  Lives on
-    (parties, t_f, c); squared norm P * 2**(N-1) for a qubit target.
+    (parties, t_f, c); squared norm 2**N for a normalized qubit target (the
+    P branches each carry 2**N / P and are orthogonal on ``c``).
     """
     target = as_state(target_in)
     p = perms.P
@@ -143,23 +142,10 @@ def build_effective_ket(target_in: np.ndarray, m: SignMatrix,
     h = m.as_gate()
     hinv = m.as_gate_inverse()
     spaces = party_spaces() + [LabeledSpace("t_f", 2), LabeledSpace("c", p)]
-    dims = space_dims(spaces)
-    target_labels = [s.label for s in spaces]
-    total = np.zeros(int(np.prod(dims)), dtype=complex)
-    for x in range(p):
-        sig = perms.sigma[x]
-        factors = [target]
-        labels = [f"{PARTY_NAMES[sig[0]]}_I"]
-        for j in range(perms.N - 1):
-            factors.append(_LINK)
-            labels.extend([f"{PARTY_NAMES[sig[j]]}_O", f"{PARTY_NAMES[sig[j + 1]]}_I"])
-        factors.append(_LINK)
-        labels.extend([f"{PARTY_NAMES[sig[-1]]}_O", "t_f"])
-        factors.append(hinv[:, x])
-        labels.append("c")
-        vec = h[x, 0] * kron_all(factors)
-        branch_dims = [dict(zip(target_labels, dims))[lab] for lab in labels]
-        total += _reorder_ket(vec, labels, branch_dims, target_labels)
+    total = np.zeros(int(np.prod(space_dims(spaces))), dtype=complex)
+    for x, sig in enumerate(perms.sigma):
+        head = [(target, [f"{PARTY_NAMES[sig[0]]}_I"])]
+        total += h[x, 0] * _chain_ket(sig, head, [(hinv[:, x], ["c"])], spaces)
     return total
 
 
@@ -167,7 +153,7 @@ def build_effective_process(target_in: np.ndarray, m: SignMatrix,
                             perms: PermutationSet = SIGMA_STAR,
                             validate: bool = True) -> ProcessMatrix:
     """Effective process over (parties, c): the pure wiring ket with the
-    final target register traced out.  Trace P * 2**(N-1); rank <= 2."""
+    final target register traced out.  Trace 2**N; rank <= 2."""
     ket = build_effective_ket(target_in, m, perms)
     spaces = party_spaces() + [LabeledSpace("t_f", 2), LabeledSpace("c", m.P)]
     matrix = trace_out_pure(ket, spaces, {"t_f"})
@@ -182,19 +168,9 @@ def definite_order_process(order: str, target_in: np.ndarray, answer_y: int,
     seq = [PARTY_NAMES.index(ch) for ch in order.upper()]
     if sorted(seq) != list(range(len(PARTY_NAMES))):
         raise ValueError(f"{order!r} is not an ordering of {PARTY_NAMES}")
-    factors = [target]
-    labels = [f"{PARTY_NAMES[seq[0]]}_I"]
-    for j in range(len(seq) - 1):
-        factors.append(_LINK)
-        labels.extend([f"{PARTY_NAMES[seq[j]]}_O", f"{PARTY_NAMES[seq[j + 1]]}_I"])
-    factors.append(_LINK)
-    labels.extend([f"{PARTY_NAMES[seq[-1]]}_O", "t_f"])
-    chain = kron_all(factors)
-    chain_spaces = [LabeledSpace(lab, 2) for lab in labels]
-    order_axes = [labels.index(lab) for lab in PARTY_LABELS] + [labels.index("t_f")]
-    chain = reorder_vector(chain, space_dims(chain_spaces), order_axes)
-    rho = trace_out_pure(chain, [LabeledSpace(lab, 2) for lab in PARTY_LABELS]
-                         + [LabeledSpace("t_f", 2)], {"t_f"})
+    spaces = party_spaces() + [LabeledSpace("t_f", 2)]
+    chain = _chain_ket(seq, [(target, [f"{PARTY_NAMES[seq[0]]}_I"])], [], spaces)
+    rho = trace_out_pure(chain, spaces, {"t_f"})
     readout = np.zeros((p, p), dtype=complex)
     readout[answer_y, answer_y] = 1.0
     return ProcessMatrix(effective_spaces(p), np.kron(rho, readout))
@@ -366,10 +342,10 @@ def verify_ccgo_decomposition(parts, tolerance: float = 1e-9) -> CcgoReport:
     checks: list[ConstraintCheck] = []
     total_trace = 0.0
 
-    def spaces_for(labels_present):
-        return [s for s in party_spaces() if s.label.split("_")[0] in labels_present]
+    def spaces_for(slots):
+        return [s for s in party_spaces() if s.label.split("_")[0] in slots]
 
-    reduced4: dict[tuple, np.ndarray] = {}
+    reduced: dict[tuple, np.ndarray] = {}
     for key in orderings:
         mat = np.asarray(parts[key], dtype=complex)
         if mat.shape != (d, d):
@@ -383,55 +359,23 @@ def verify_ccgo_decomposition(parts, tolerance: float = 1e-9) -> CcgoReport:
         psd_ok = herm_res <= tolerance and eig_defect <= tolerance
         checks.append(ConstraintCheck(f"psd[{''.join(key)}]", psd_ok,
                                       max(herm_res, eig_defect)))
-        reduced4[key] = partial_trace(mat, spaces_c, {"c"})
+        reduced[key] = partial_trace(mat, spaces_c, {"c"})
 
-    # level 4: identity on the last slot's output
-    reduced3: dict[tuple, np.ndarray] = {}
-    for key in orderings:
-        i, j, k, l = key
-        res = _identity_residual(reduced4[key], party_spaces(), f"{l}_O")
-        checks.append(ConstraintCheck(f"reduced[{''.join(key)}] = ~W (x) 1[{l}_O]",
-                                      res <= tolerance, res))
-        reduced3[key[:3]] = partial_trace(reduced4[key], party_spaces(),
-                                          {f"{l}_I", f"{l}_O"})
-
-    # level 3
-    reduced2: dict[tuple, np.ndarray] = {}
-    for key3 in sorted({k[:3] for k in orderings}):
-        i, j, k = key3
-        spaces3 = spaces_for({i, j, k})
-        res = _identity_residual(reduced3[key3], spaces3, f"{k}_O")
-        checks.append(ConstraintCheck(f"reduced[{''.join(key3)}] = ~W (x) 1[{k}_O]",
-                                      res <= tolerance, res))
-    for i, j in sorted({k[:2] for k in orderings}):
-        rest = [x for x in PARTY_NAMES if x not in (i, j)]
-        acc = None
-        for k in rest:
-            spaces3 = spaces_for({i, j, k})
-            tr = partial_trace(reduced3[(i, j, k)], spaces3, {f"{k}_I", f"{k}_O"})
-            acc = tr if acc is None else acc + tr
-        reduced2[(i, j)] = acc
-
-    # level 2
-    reduced1: dict[str, np.ndarray] = {}
-    for i, j in sorted(reduced2.keys()):
-        spaces2 = spaces_for({i, j})
-        res = _identity_residual(reduced2[(i, j)], spaces2, f"{j}_O")
-        checks.append(ConstraintCheck(f"reduced[{i}{j}] = ~W (x) 1[{j}_O]",
-                                      res <= tolerance, res))
-    for i in PARTY_NAMES:
-        acc = None
-        for j in [x for x in PARTY_NAMES if x != i]:
-            spaces2 = spaces_for({i, j})
-            tr = partial_trace(reduced2[(i, j)], spaces2, {f"{j}_I", f"{j}_O"})
-            acc = tr if acc is None else acc + tr
-        reduced1[i] = acc
-
-    # level 1
-    for i in PARTY_NAMES:
-        res = _identity_residual(reduced1[i], spaces_for({i}), f"{i}_O")
-        checks.append(ConstraintCheck(f"reduced[{i}] = ~W (x) 1[{i}_O]",
-                                      res <= tolerance, res))
+    # prefix lengths 4 -> 1: each reduced part must be identity on the output
+    # of its prefix's last slot; tracing that slot out and summing over the
+    # completions of each shorter prefix gives the next level's parts
+    for _ in range(len(PARTY_NAMES)):
+        shorter: dict[tuple, np.ndarray] = {}
+        for prefix in sorted(reduced):
+            last = prefix[-1]
+            spaces = spaces_for(prefix)
+            res = _identity_residual(reduced[prefix], spaces, f"{last}_O")
+            checks.append(ConstraintCheck(f"reduced[{''.join(prefix)}] = ~W (x) 1[{last}_O]",
+                                          res <= tolerance, res))
+            tr = partial_trace(reduced[prefix], spaces, {f"{last}_I", f"{last}_O"})
+            head = prefix[:-1]
+            shorter[head] = shorter[head] + tr if head in shorter else tr
+        reduced = shorter
 
     normalized = abs(total_trace - 2 ** 4) <= 1e-8 * 2 ** 4
     return CcgoReport(tuple(checks), total_trace, normalized)

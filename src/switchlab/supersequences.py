@@ -13,10 +13,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
-from ._parallel import chunked, ordered_map
-from .switch import PermutationSet
-
-_LABELS = "ABCDEFGH"
+from .switch import _LABELS, PermutationSet
 
 
 def is_supersequence(sequence: str, perm: str):
@@ -67,40 +64,45 @@ def embed_sequence(sequence: str, perms: PermutationSet) -> SupersequenceResult:
     return SupersequenceResult(sequence, len(sequence), tuple(embs), perms)
 
 
-def scs(perms: PermutationSet) -> SupersequenceResult:
-    """Shortest common supersequence of the orderings.
+def _shortest_path(sigma, n: int) -> list[int]:
+    """Symbols of the lexicographically smallest shortest common
+    supersequence of the rows of ``sigma`` (orderings of range(n)).
 
     BFS over progress vectors: appending symbol s advances every permutation
     whose next required symbol is s.  Expanding symbols in alphabetical order
     from a FIFO queue makes the first path reaching the goal the
     lexicographically smallest among all shortest ones.
     """
-    n, p = perms.N, perms.P
-    if n > 6 or p > 8:
-        raise ValueError("limits exceeded: supports N <= 6 and P <= 8")
-    sigma = perms.sigma
-    start = (0,) * p
-    goal = (n,) * p
+    # advance[s][k][pk]: progress of ordering k after appending symbol s
+    advance = [[tuple(pk + 1 if pk < n and row[pk] == s else pk for pk in range(n + 1))
+                for row in sigma] for s in range(n)]
+    start = (0,) * len(sigma)
+    goal = (n,) * len(sigma)
     parent: dict[tuple, tuple | None] = {start: None}
     queue = deque([start])
     while queue:
         state = queue.popleft()
         if state == goal:
             break
-        for s in range(n):
-            new = tuple(
-                pk + 1 if pk < n and sigma[k][pk] == s else pk
-                for k, pk in enumerate(state)
-            )
-            if new != state and new not in parent:
+        for s, tables in enumerate(advance):
+            new = tuple([t[pk] for t, pk in zip(tables, state)])
+            if new not in parent:   # a symbol that advances nothing maps state to itself
                 parent[new] = (state, s)
                 queue.append(new)
     symbols = []
     cur = goal
     while parent[cur] is not None:
         cur, s = parent[cur]
-        symbols.append(_LABELS[s])
-    sequence = "".join(reversed(symbols))
+        symbols.append(s)
+    return symbols[::-1]
+
+
+def scs(perms: PermutationSet) -> SupersequenceResult:
+    """Certified shortest common supersequence of the orderings, the
+    lexicographically smallest among all shortest ones."""
+    if perms.N > 6 or perms.P > 8:
+        raise ValueError("limits exceeded: supports N <= 6 and P <= 8")
+    sequence = "".join(_LABELS[s] for s in _shortest_path(perms.sigma, perms.N))
     return embed_sequence(sequence, perms)
 
 
@@ -117,44 +119,7 @@ class QuartetCensus:
             raise ValueError("total disagrees with the histogram")
 
 
-def _scs_length(perm_rows: tuple[tuple[int, ...], ...], n: int) -> int:
-    """Length-only BFS, used by the census (no path reconstruction)."""
-    start = (0,) * len(perm_rows)
-    goal_val = n * len(perm_rows)
-    frontier = {start}
-    seen = {start}
-    depth = 0
-    while True:
-        if any(sum(st) == goal_val for st in frontier):
-            return depth
-        depth += 1
-        nxt = set()
-        for st in frontier:
-            for s in range(n):
-                new = tuple(
-                    pk + 1 if pk < n and perm_rows[k][pk] == s else pk
-                    for k, pk in enumerate(st)
-                )
-                if new != st and new not in seen:
-                    seen.add(new)
-                    nxt.add(new)
-        frontier = nxt
-
-
-def _census_chunk(args):
-    quartets, n, collect = args
-    hist: dict[int, int] = {}
-    collected = []
-    for quartet in quartets:
-        length = _scs_length(quartet, n)
-        hist[length] = hist.get(length, 0) + 1
-        if collect is not None and length == collect:
-            collected.append(tuple("".join(_LABELS[j] for j in row) for row in quartet))
-    return hist, collected
-
-
-def quartet_census(n_labels: int = 4, threads: int = 1,
-                   collect: int | None = None) -> QuartetCensus:
+def quartet_census(n_labels: int = 4, collect: int | None = None) -> QuartetCensus:
     """Minimal-length histogram over all quartets of distinct orderings of
     ``n_labels`` labels that contain the identity ordering (fixing the
     identity quotients out relabeling).  ``collect`` optionally gathers the
@@ -162,12 +127,11 @@ def quartet_census(n_labels: int = 4, threads: int = 1,
     ident = tuple(range(n_labels))
     others = [p for p in itertools.permutations(range(n_labels)) if p != ident]
     quartets = [(ident,) + trio for trio in itertools.combinations(others, 3)]
-    chunks = chunked(quartets, 128)
-    results = ordered_map(_census_chunk, [(c, n_labels, collect) for c in chunks], threads)
     hist: dict[int, int] = {}
     collected: list[tuple[str, ...]] = []
-    for h, coll in results:
-        for k, v in h.items():
-            hist[k] = hist.get(k, 0) + v
-        collected.extend(coll)
+    for quartet in quartets:
+        length = len(_shortest_path(quartet, n_labels))
+        hist[length] = hist.get(length, 0) + 1
+        if length == collect:
+            collected.append(tuple(PermutationSet(quartet).to_strings()))
     return QuartetCensus(dict(sorted(hist.items())), len(quartets), tuple(collected))

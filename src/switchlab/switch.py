@@ -136,6 +136,8 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
+        if not math.isfinite(self.epsilon):
+            raise ValueError("epsilon must be a finite angle")
 
     @property
     def is_trivial(self) -> bool:
@@ -161,17 +163,14 @@ class RunResult:
         object.__setattr__(self, "outcome_distribution", p)
 
 
-def product_pi(oracle: OracleSet, perms: PermutationSet, x: int) -> np.ndarray:
-    """Product of the oracle gates in their x-th ordering; the ordering's
-    first gate acts first (rightmost factor)."""
-    if not 0 <= x < perms.P:
-        raise IndexError(f"ordering index {x} out of range for P={perms.P}")
-    if oracle.N != perms.N:
-        raise ValueError("oracle size does not match the permutation set")
-    mats = oracle.matrices()
-    out = np.eye(oracle.dim, dtype=complex)
-    for j in perms.sigma[x]:
-        out = mats[j] @ out
+def _ordering_products(mats: np.ndarray, sigma) -> np.ndarray:
+    """Products of gate stacks ``mats[..., N, d, d]`` in every ordering of
+    ``sigma``, shape ``[..., P, d, d]``; an ordering's first gate acts first
+    (rightmost factor)."""
+    sigma = np.asarray(sigma)
+    out = mats[..., sigma[:, 0], :, :]
+    for j in range(1, sigma.shape[1]):
+        out = mats[..., sigma[:, j], :, :] @ out
     return out
 
 
@@ -179,15 +178,7 @@ def all_products(oracle: OracleSet, perms: PermutationSet) -> np.ndarray:
     """Stack of the P ordering products, shape (P, d, d)."""
     if oracle.N != perms.N:
         raise ValueError("oracle size does not match the permutation set")
-    mats = oracle.matrices()
-    d = oracle.dim
-    out = np.empty((perms.P, d, d), dtype=complex)
-    for x, sig in enumerate(perms.sigma):
-        p = np.eye(d, dtype=complex)
-        for j in sig:
-            p = mats[j] @ p
-        out[x] = p
-    return out
+    return _ordering_products(oracle.matrices(), perms.sigma)
 
 
 def apply_n_switch(control: np.ndarray, target: np.ndarray,

@@ -11,18 +11,18 @@ import time
 
 import numpy as np
 
-from switchlab import (NoiseModel, SIGMA_STAR, ancilla_factor, apply_n_switch,
-                       attack_combined, attack_table1, attack_table2,
-                       basis_state, build_effective_process,
+from switchlab import (NoiseModel, SIGMA_STAR, all_products, ancilla_factor,
+                       apply_n_switch, attack_combined, attack_table1,
+                       attack_table2, basis_state, build_effective_process,
                        build_fixed_circuit, chart_fixture, check_promise,
                        dimension_constraint_ok, embed_sequence,
                        enumerate_promise_sets, equivalence_classes,
                        gate_set_G, hadamard_m4, is_supersequence, kron_all,
-                       product_pi, quartet_census, random_state,
-                       run_hadamard_algorithm, sample_shots, scs,
-                       simulate_fixed_circuit, success_probability,
-                       switch_equivalence_fidelity, sylvester_hadamard,
-                       verify_classification, witness_operator)
+                       quartet_census, random_state, run_hadamard_algorithm,
+                       sample_shots, scs, simulate_fixed_circuit,
+                       success_probability, switch_equivalence_fidelity,
+                       sylvester_hadamard, verify_classification,
+                       witness_operator)
 
 
 def report(number: int, passed: bool, detail: str):
@@ -189,7 +189,7 @@ def test_criterion_10_property_suite(m4):
     psi = random_state(2, np.random.default_rng(10))
     joint = apply_n_switch(m4.as_gate()[:, 0], psi, fix, SIGMA_STAR).reshape(4, 2)
     expected = np.outer(m4.entries[:, fix.claimed_y] / 2.0,
-                        product_pi(fix, SIGMA_STAR, 0) @ psi)
+                        all_products(fix, SIGMA_STAR)[0] @ psi)
     checks.append(bool(np.max(np.abs(joint - expected)) < 1e-9))
 
     # order-4 matrix self-inverse, exact integer orthogonality

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def test_scs_trivial(capsys):
 
 
 def test_scs_census(capsys):
-    env = run_json(capsys, "scs", "--census", "--threads", "2")
+    env = run_json(capsys, "scs", "--census")
     assert env["results"]["histogram"] == {"6": 37, "7": 946, "8": 779, "9": 9}
     assert env["results"]["total_quartets"] == 1771
 
@@ -123,24 +124,12 @@ def test_payload_is_deterministic(capsys):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_threads_do_not_change_results(capsys):
-    one = run_json(capsys, "scs", "--census", "--threads", "1")
-    four = run_json(capsys, "scs", "--census", "--threads", "4")
-    assert one["results"] == four["results"]
-
-
 def test_envelope_fields(capsys):
     env = run_json(capsys, "run", "--table", "1", "--column", "0", "--seed", "3")
     assert env["command"] == "run"
     assert env["seed"] == 3
     assert "elapsed_ms" in env
     assert env["parameters"]["column"] == 0
-
-
-def test_env_var_thread_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("SWITCHLAB_THREADS", "2")
-    env = run_json(capsys, "scs", "--census")
-    assert env["results"]["total_quartets"] == 1771
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +157,17 @@ def test_bad_gamma_exits_2(capsys):
     code, _, err = run_cli(capsys, "run", "--table", "1", "--column", "0",
                            "--gamma", "1.5")
     assert code == 2
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan"])
+def test_non_finite_epsilon_exits_2(capsys, epsilon):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, "run", "--table", "1", "--column", "1",
+                               "--epsilon", epsilon)
+    assert code == 2
+    assert "epsilon" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_invariant_violation_exits_3(capsys, monkeypatch):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from switchlab import (OracleSet, PermutationSet, SIGMA_STAR, ancilla_factor,
-                       apply_n_switch, attack_combined, attack_table1,
-                       attack_table2, basis_state, build_fixed_circuit,
-                       chart_fixture, embed_sequence, kron_all, pauli,
-                       product_pi, random_state, scs,
+from switchlab import (OracleSet, PermutationSet, SIGMA_STAR, all_products,
+                       ancilla_factor, apply_n_switch, attack_combined,
+                       attack_table1, attack_table2, basis_state,
+                       build_fixed_circuit, chart_fixture, embed_sequence,
+                       kron_all, pauli, random_state, scs,
                        simulate_fixed_circuit, switch_equivalence_fidelity)
 from switchlab.gates import NamedGate
 from switchlab.linalg import random_unitary
@@ -105,7 +105,7 @@ def test_basis_control_gives_ordering_product(star_circuit):
         joint = joint.reshape(4, 2, 16)
         anc = ancilla_factor(star_circuit, orc)
         target_vec = joint[x] @ anc.conj() / np.vdot(anc, anc)
-        assert_allclose(target_vec, product_pi(orc, SIGMA_STAR, x) @ psi, atol=1e-10)
+        assert_allclose(target_vec, all_products(orc, SIGMA_STAR)[x] @ psi, atol=1e-10)
 
 
 def test_circuit_matches_switch_on_fixtures(star_circuit, m4):

@@ -146,14 +146,6 @@ def test_enumerate_gate_order_invariance(m4):
     assert census_a.per_column == census_b.per_column
 
 
-def test_enumerate_thread_independence(m4):
-    gates = [pauli(n) for n in "IZXY"]
-    _, sets_a = enumerate_promise_sets(gates, SIGMA_STAR, m4, threads=1)
-    _, sets_b = enumerate_promise_sets(gates, SIGMA_STAR, m4, threads=4)
-    assert [s.names() for s in sets_a] == [s.names() for s in sets_b]
-    assert [s.claimed_y for s in sets_a] == [s.claimed_y for s in sets_b]
-
-
 # ---------------------------------------------------------------------------
 # fixtures
 # ---------------------------------------------------------------------------
@@ -248,6 +240,17 @@ def test_classification_counts(promise_sets):
     # the phase-insensitive relation only merges, never splits
     assert loose.n_classes <= strict.n_classes
     assert sum(len(c) for c in strict.classes) == len(sets)
+
+
+def test_phase_insensitive_conjugators_are_proper_rotations(promise_sets):
+    # a reflection passes the conjugation check too, but only a rotation is
+    # the Bloch image of a unitary
+    _, sets = promise_sets
+    loose = equivalence_classes(sets, phase_sensitive=False)
+    assert loose.conjugators
+    for o in loose.conjugators.values():
+        assert np.max(np.abs(o @ o.T - np.eye(3))) < 1e-8
+        assert abs(np.linalg.det(o) - 1.0) < 1e-8
 
 
 def test_classification_invariant_under_input_order(promise_sets):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from switchlab import (LabeledSpace, OracleSet, SIGMA_STAR, basis_state,
-                       build_effective_ket, build_effective_process,
-                       build_switch_process_ket, chart_fixture, choi_vector,
-                       definite_order_process, oracle_choi_ket, product_pi,
-                       random_state, run_hadamard_algorithm,
+from switchlab import (LabeledSpace, OracleSet, SIGMA_STAR, all_products,
+                       basis_state, build_effective_ket,
+                       build_effective_process, build_switch_process_ket,
+                       chart_fixture, choi_vector, definite_order_process,
+                       oracle_choi_ket, random_state, run_hadamard_algorithm,
                        success_probability, superinstrument, uniform_witness,
                        verify_ccgo_decomposition, witness_operator)
 from switchlab.gates import NamedGate
@@ -70,7 +70,7 @@ def test_switch_ket_contraction_reproduces_products():
     for x in range(4):
         branch = t[x, ..., x].reshape(2, 256, 2)  # (t_p, parties, t_f)
         contracted = np.einsum("p,ipf->if", g, branch)  # (t_p, t_f)
-        pi = product_pi(orc, SIGMA_STAR, x)
+        pi = all_products(orc, SIGMA_STAR)[x]
         assert_allclose(contracted.reshape(-1), choi_vector(pi), atol=1e-9)
 
 

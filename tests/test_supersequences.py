@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchlab import (PermutationSet, SIGMA_STAR, embed_sequence,
                        is_supersequence, quartet_census, scs)
+from switchlab.supersequences import _shortest_path
 
 
 def perms_of(*words):
@@ -107,8 +110,14 @@ def test_quartet_census_counts():
     assert census.histogram == {6: 37, 7: 946, 8: 779, 9: 9}
 
 
-def test_quartet_census_thread_independent():
-    assert quartet_census(threads=1).histogram == quartet_census(threads=4).histogram
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_census_path_matches_brute_force(n, data):
+    rows = data.draw(st.lists(st.permutations(range(n)), min_size=1,
+                              max_size=6 if n < 4 else 3, unique_by=tuple))
+    alphabet = "ABCD"[:n]
+    words = ["".join(alphabet[j] for j in row) for row in rows]
+    assert len(_shortest_path(rows, n)) == brute_force_scs_length(words, alphabet)
 
 
 def test_census_collects_the_nine_hardest():

@@ -1,15 +1,21 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from switchlab import (NoiseModel, OracleSet, PermutationSet, SIGMA_STAR,
-                       all_products, apply_n_switch, basis_state, chart_fixture,
-                       dimension_constraint_ok, hadamard_m4, pauli, product_pi,
-                       random_state, run_fourier_algorithm,
-                       run_hadamard_algorithm, sample_shots, sylvester_hadamard)
+                       all_products, apply_n_switch, basis_state,
+                       chart_fixture, dimension_constraint_ok, hadamard_m4,
+                       pauli, random_state, run_fourier_algorithm,
+                       run_hadamard_algorithm, sample_shots,
+                       sylvester_hadamard)
 from switchlab.gates import NamedGate
 from switchlab.linalg import random_unitary
-from switchlab.switch import _distribution_dephased, _distribution_pure
+from switchlab.switch import (_distribution_dephased, _distribution_pure,
+                              _ordering_products)
 
 
 def oracle_of(*names):
@@ -44,9 +50,9 @@ def test_permutation_set_validation():
 def test_product_first_column_oracle():
     # gates (Z, X, Z, X): reference ordering gives X Z X Z = -1
     orc = oracle_of("Z", "X", "Z", "X")
-    assert_allclose(product_pi(orc, SIGMA_STAR, 0), -np.eye(2), atol=1e-12)
+    assert_allclose(all_products(orc, SIGMA_STAR)[0], -np.eye(2), atol=1e-12)
     # third ordering: Z X X Z = +1, the sign of entry (2, 1)
-    assert_allclose(product_pi(orc, SIGMA_STAR, 2), np.eye(2), atol=1e-12)
+    assert_allclose(all_products(orc, SIGMA_STAR)[2], np.eye(2), atol=1e-12)
     m = hadamard_m4().entries
     assert m[2, 1] == -1
 
@@ -54,19 +60,45 @@ def test_product_first_column_oracle():
 def test_product_all_identity():
     orc = oracle_of("1", "1", "1", "1")
     for x in range(4):
-        assert_allclose(product_pi(orc, SIGMA_STAR, x), np.eye(2))
+        assert_allclose(all_products(orc, SIGMA_STAR)[x], np.eye(2))
 
 
 def test_product_index_out_of_range():
     with pytest.raises(IndexError):
-        product_pi(oracle_of("1", "1", "1", "1"), SIGMA_STAR, 4)
+        all_products(oracle_of("1", "1", "1", "1"), SIGMA_STAR)[4]
+
+
+def fold_products(mats, sigma):
+    """Reference ordering products: fold each ordering left to right,
+    left-multiplying one gate at a time onto the identity."""
+    return np.stack([functools.reduce(lambda acc, j: mats[j] @ acc, row,
+                                      np.eye(mats.shape[-1], dtype=complex))
+                     for row in sigma])
 
 
 def test_all_products_matches_product_pi():
     orc = OracleSet(tuple(pauli(n) for n in ("Z", "X", "Y", "1")))
-    stack = all_products(orc, SIGMA_STAR)
-    for x in range(4):
-        assert_allclose(stack[x], product_pi(orc, SIGMA_STAR, x))
+    assert_allclose(all_products(orc, SIGMA_STAR),
+                    fold_products(orc.matrices(), SIGMA_STAR.sigma))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3]), n=st.integers(1, 5), data=st.data(),
+       batch=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2**32 - 1))
+def test_ordering_products_match_fold_reference(d, n, data, batch, seed):
+    sigma = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=6))
+    rng = np.random.default_rng(seed)
+    shape = (n,) if batch is None else (batch, n)
+    mats = np.array([random_unitary(d, rng) for _ in range(int(np.prod(shape)))])
+    mats = mats.reshape(shape + (d, d))
+    got = _ordering_products(mats, sigma)
+    if batch is None:
+        assert got.shape == (len(sigma), d, d)
+        assert_allclose(got, fold_products(mats, sigma), atol=1e-12)
+    else:
+        assert got.shape == (batch, len(sigma), d, d)
+        for b in range(batch):
+            assert_allclose(got[b], fold_products(mats[b], sigma), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +109,7 @@ def test_switch_on_basis_control():
     orc = oracle_of("Z", "X", "Z", "X")
     psi = random_state(2, np.random.default_rng(1))
     joint = apply_n_switch(basis_state(4, 0), psi, orc, SIGMA_STAR)
-    expected = np.kron(basis_state(4, 0), product_pi(orc, SIGMA_STAR, 0) @ psi)
+    expected = np.kron(basis_state(4, 0), all_products(orc, SIGMA_STAR)[0] @ psi)
     assert_allclose(joint, expected, atol=1e-12)
 
 
@@ -86,8 +118,8 @@ def test_switch_on_superposed_control():
     psi = basis_state(2, 0)
     control = np.array([1, 1, 0, 0], dtype=complex) / np.sqrt(2)
     joint = apply_n_switch(control, psi, orc, SIGMA_STAR)
-    pi0 = product_pi(orc, SIGMA_STAR, 0)
-    pi1 = product_pi(orc, SIGMA_STAR, 1)
+    pi0 = all_products(orc, SIGMA_STAR)[0]
+    pi1 = all_products(orc, SIGMA_STAR)[1]
     assert_allclose(pi1, pi0, atol=1e-12)  # signs agree in orderings 0 and 1
     expected = (np.kron(basis_state(4, 0), pi0 @ psi)
                 + np.kron(basis_state(4, 1), pi1 @ psi)) / np.sqrt(2)
@@ -127,7 +159,7 @@ def test_post_switch_state_structure(m4):
         psi = random_state(2, np.random.default_rng(3 + y))
         control = m4.as_gate()[:, 0]
         joint = apply_n_switch(control, psi, fix, SIGMA_STAR).reshape(4, 2)
-        pi0 = product_pi(fix, SIGMA_STAR, 0)
+        pi0 = all_products(fix, SIGMA_STAR)[0]
         expected = np.outer(m4.entries[:, y] / 2.0, pi0 @ psi)
         assert np.max(np.abs(joint - expected)) < 1e-9
         # target factor identical across branches up to the sign
@@ -250,6 +282,9 @@ def test_dimension_constraint_rejects_unknown():
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(gamma=1.5)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            NoiseModel(epsilon=bad)
     assert NoiseModel().is_trivial
 
 
