@@ -8,7 +8,9 @@ Conventions used throughout the package:
   a factor list reproduces the listed order.
 * Comparisons use absolute max-norm tolerance ``ATOL`` (1e-10) unless a
   function documents otherwise.  Every quantity in this project is O(1) in
-  magnitude and at most 2048-dimensional, so dense storage is always fine.
+  magnitude and at most 2048-dimensional.  Kets and gates are stored dense;
+  process matrices are stored as factors (see ``processes``), because a
+  dense 1024x1024 process of rank <= 2 wastes both memory and time.
 
 All functions are pure and never mutate their inputs.
 """

@@ -8,6 +8,14 @@ target input, witness operators whose expectation is the algorithm's success
 probability, the per-outcome superinstrument reduction, and the verifier for
 decompositions certifying classically controlled gate orders.
 
+Every process built here is a pure wiring ket with the final target ``t_f``
+traced out, so it has rank <= 2.  :class:`ProcessMatrix` therefore stores a
+factor A with W = A A^dagger: positivity holds by construction, and witness
+values and superinstrument blocks are computed from the rows of A.  The
+dense W is built only on request.  The decomposition verifier takes dense
+parts (they may come from anywhere) and checks positivity on each part's
+support only.
+
 Frozen conventions (asserted by tests):
 
 * party spaces are ordered (A_I, A_O, B_I, B_O, C_I, C_O, D_I, D_O), each of
@@ -21,13 +29,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .gates import SignMatrix
-from .linalg import (LabeledSpace, as_state, choi_vector, kron_all,
-                     partial_trace, reorder_matrix, reorder_vector,
-                     space_dims, space_index, trace_out_pure)
+from .linalg import (LabeledSpace, as_state, basis_state, choi_vector,
+                     kron_all, partial_trace, reorder_matrix, reorder_vector,
+                     space_dims, space_index)
 from .switch import OracleSet, PermutationSet, SIGMA_STAR
 
 PARTY_NAMES = "ABCD"
@@ -62,29 +71,34 @@ def switch_process_spaces(p: int = 4) -> list[LabeledSpace]:
 
 @dataclass(frozen=True, eq=False)
 class ProcessMatrix:
-    """Labeled positive-semidefinite operator over an ordered space list."""
+    """Labeled positive-semidefinite operator W = A A^dagger over an ordered
+    space list, stored as its factor A of shape (d, r)."""
 
     spaces: tuple[LabeledSpace, ...]
-    matrix: np.ndarray = field(repr=False)
+    factor: np.ndarray = field(repr=False)
 
-    def __init__(self, spaces, matrix, validate: bool = True, tol: float = 1e-9):
+    def __init__(self, spaces, factor):
         spaces = tuple(spaces)
-        matrix = np.array(matrix, dtype=complex)
+        factor = np.array(factor, dtype=complex)
         d = int(np.prod(space_dims(spaces)))
-        if matrix.shape != (d, d):
-            raise ValueError(f"matrix shape {matrix.shape} does not match spaces (dim {d})")
-        if validate:
-            if np.max(np.abs(matrix - matrix.conj().T)) > tol:
-                raise ValueError("process matrix is not Hermitian")
-            if _psd_violation(matrix, tol) > tol:
-                raise ValueError("process matrix is not positive semidefinite")
-        matrix.flags.writeable = False
+        if factor.ndim != 2 or factor.shape[0] != d:
+            raise ValueError(f"factor shape {factor.shape} does not match spaces (dim {d})")
+        if not np.all(np.isfinite(factor)):
+            raise ValueError("process factor has non-finite entries")
+        factor.flags.writeable = False
         object.__setattr__(self, "spaces", spaces)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "factor", factor)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense W, built on first use; read-only."""
+        mat = self.factor @ self.factor.conj().T
+        mat.flags.writeable = False
+        return mat
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        return float(np.vdot(self.factor, self.factor).real)
 
     def labels(self) -> list[str]:
         return [s.label for s in self.spaces]
@@ -150,14 +164,13 @@ def build_effective_ket(target_in: np.ndarray, m: SignMatrix,
 
 
 def build_effective_process(target_in: np.ndarray, m: SignMatrix,
-                            perms: PermutationSet = SIGMA_STAR,
-                            validate: bool = True) -> ProcessMatrix:
+                            perms: PermutationSet = SIGMA_STAR) -> ProcessMatrix:
     """Effective process over (parties, c): the pure wiring ket with the
-    final target register traced out.  Trace 2**N; rank <= 2."""
-    ket = build_effective_ket(target_in, m, perms)
-    spaces = party_spaces() + [LabeledSpace("t_f", 2), LabeledSpace("c", m.P)]
-    matrix = trace_out_pure(ket, spaces, {"t_f"})
-    return ProcessMatrix(effective_spaces(m.P), matrix, validate=validate)
+    final target register traced out.  Trace 2**N; rank <= 2, with one
+    factor column per value of t_f."""
+    ket = build_effective_ket(target_in, m, perms).reshape(-1, 2, m.P)
+    factor = ket.transpose(0, 2, 1).reshape(-1, 2)
+    return ProcessMatrix(effective_spaces(m.P), factor)
 
 
 def definite_order_process(order: str, target_in: np.ndarray, answer_y: int,
@@ -170,10 +183,8 @@ def definite_order_process(order: str, target_in: np.ndarray, answer_y: int,
         raise ValueError(f"{order!r} is not an ordering of {PARTY_NAMES}")
     spaces = party_spaces() + [LabeledSpace("t_f", 2)]
     chain = _chain_ket(seq, [(target, [f"{PARTY_NAMES[seq[0]]}_I"])], [], spaces)
-    rho = trace_out_pure(chain, spaces, {"t_f"})
-    readout = np.zeros((p, p), dtype=complex)
-    readout[answer_y, answer_y] = 1.0
-    return ProcessMatrix(effective_spaces(p), np.kron(rho, readout))
+    readout = basis_state(p, answer_y).reshape(p, 1)
+    return ProcessMatrix(effective_spaces(p), np.kron(chain.reshape(-1, 2), readout))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +210,8 @@ class WitnessOperator:
         if not components:
             raise ValueError("witness needs at least one component")
         weights = np.array([q for _, _, q in components])
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be nonnegative and sum to 1")
         p = spaces[-1].dim
@@ -213,14 +226,16 @@ class WitnessOperator:
     def matrix(self) -> np.ndarray:
         """Dense form: sum_k q_k (|U_k>><<U_k|)^T (x) |y_k><y_k|."""
         p = self.spaces[-1].dim
-        d = int(np.prod(space_dims(self.spaces)))
-        out = np.zeros((d, d), dtype=complex)
-        for oracle, y, q in self.components:
-            g = oracle_choi_ket(oracle).conj()    # transpose of the projector
-            proj = np.zeros((p, p))
-            proj[y, y] = 1.0
-            out += q * np.kron(np.outer(g, g.conj()), proj)
-        return out
+        d = int(np.prod(space_dims(self.spaces))) // p
+        out = np.zeros((d, p, d, p), dtype=complex)
+        for y in range(p):
+            comps = [(o, q) for o, yk, q in self.components if yk == y]
+            if comps:
+                # columns are the transposed projectors' kets
+                b = np.array([oracle_choi_ket(o) for o, _ in comps]).conj().T
+                q = np.array([q for _, q in comps])
+                out[:, y, :, y] = (b * q) @ b.conj().T
+        return out.reshape(d * p, d * p)
 
 
 def witness_operator(components) -> WitnessOperator:
@@ -251,31 +266,33 @@ class Superinstrument:
         return float(sum(np.trace(w).real for w in self.parts))
 
 
-def superinstrument(w: ProcessMatrix) -> Superinstrument:
+def _readout_blocks(w: ProcessMatrix):
+    """Rows of the factor grouped by readout outcome, shape (p, d/p, r) with
+    block y over the party spaces in order, plus those spaces."""
     if "c" not in w.labels():
         raise ValueError("process has no readout space 'c'")
     c = space_index(w.spaces, "c")
     dims = space_dims(w.spaces)
-    k = len(dims)
-    order = [i for i in range(k) if i != c] + [c]
-    mat = reorder_matrix(w.matrix, dims, order) if order != list(range(k)) else w.matrix
-    p = dims[c]
-    d = mat.shape[0] // p
-    arr = mat.reshape(d, p, d, p)
-    parts = tuple(np.ascontiguousarray(arr[:, y, :, y]) for y in range(p))
-    kept = tuple(w.spaces[i] for i in order[:-1])
-    return Superinstrument(parts, kept)
+    r = w.factor.shape[1]
+    blocks = np.moveaxis(w.factor.reshape(dims + [r]), c, 0).reshape(dims[c], -1, r)
+    return blocks, w.spaces[:c] + w.spaces[c + 1:]
+
+
+def superinstrument(w: ProcessMatrix) -> Superinstrument:
+    blocks, kept = _readout_blocks(w)
+    return Superinstrument(tuple(b @ b.conj().T for b in blocks), kept)
 
 
 def success_probability(w: ProcessMatrix, g: WitnessOperator) -> float:
-    """Tr[G W], evaluated blockwise through the superinstrument reduction."""
+    """Tr[G W] = sum_k q_k ||U_k>>^T A_{y_k}|^2, where A_y holds the factor
+    rows at readout outcome y and |U_k>> is the oracle's Choi ket."""
     if w.labels() != [s.label for s in g.spaces] or space_dims(w.spaces) != space_dims(g.spaces):
         raise ValueError("witness and process spaces do not match")
-    blocks = superinstrument(w).parts
+    blocks, _ = _readout_blocks(w)
     val = 0.0
     for oracle, y, q in g.components:
-        gk = oracle_choi_ket(oracle).conj()
-        val += q * float(np.real(gk.conj() @ blocks[y] @ gk))
+        amp = oracle_choi_ket(oracle) @ blocks[y]
+        val += q * float(np.vdot(amp, amp).real)
     if not -1e-8 <= val <= 1.0 + 1e-8:
         raise ValueError(f"success probability {val} outside [0, 1]")
     return val
@@ -351,11 +368,17 @@ def verify_ccgo_decomposition(parts, tolerance: float = 1e-9) -> CcgoReport:
         if mat.shape != (d, d):
             raise ValueError(f"part {key} has shape {mat.shape}, expected {(d, d)}")
         total_trace += float(np.trace(mat).real)
-        if np.max(np.abs(mat)) == 0.0:
+        # Outside the support (indices whose row or column holds a nonzero)
+        # both mat and mat^dagger vanish, so the Hermitian residual and the
+        # PSD defect of the support block are those of the whole part.
+        nonzero = mat != 0
+        support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        if support.size == 0:
             herm_res, eig_defect = 0.0, 0.0
         else:
-            herm_res = float(np.max(np.abs(mat - mat.conj().T)))
-            eig_defect = _psd_violation(mat, tolerance)
+            sub = mat if support.size == d else mat[np.ix_(support, support)]
+            herm_res = float(np.max(np.abs(sub - sub.conj().T)))
+            eig_defect = _psd_violation(sub, tolerance)
         psd_ok = herm_res <= tolerance and eig_defect <= tolerance
         checks.append(ConstraintCheck(f"psd[{''.join(key)}]", psd_ok,
                                       max(herm_res, eig_defect)))

@@ -254,6 +254,21 @@ def test_witness_components_file_rejects_wrong_column(capsys, tmp_path):
     assert "disagrees" in err
 
 
+def test_witness_components_file_rejects_non_finite_weight(capsys, tmp_path):
+    z = np.array([[1, 0], [0, -1]], dtype=complex)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    comp = [{"gates": [{"name": "Z", "matrix": as_pairs(z)},
+                       {"name": "X", "matrix": as_pairs(x)},
+                       {"name": "Z", "matrix": as_pairs(z)},
+                       {"name": "X", "matrix": as_pairs(x)}],
+             "y": 1, "q": float("nan")}]
+    path = tmp_path / "components.json"
+    path.write_text(json.dumps(comp))
+    code, _, err = run_cli(capsys, "witness", "--components", str(path))
+    assert code == 2
+    assert "weights must be finite" in err
+
+
 def test_malformed_gate_file_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps([{"name": "Z"}]))

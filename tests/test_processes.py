@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from switchlab import (LabeledSpace, OracleSet, SIGMA_STAR, all_products,
@@ -12,7 +14,7 @@ from switchlab import (LabeledSpace, OracleSet, SIGMA_STAR, all_products,
                        success_probability, superinstrument, uniform_witness,
                        verify_ccgo_decomposition, witness_operator)
 from switchlab.gates import NamedGate
-from switchlab.linalg import random_unitary, reorder_vector
+from switchlab.linalg import random_unitary, reorder_matrix, reorder_vector
 from switchlab.processes import (PARTY_LABELS, ProcessMatrix, WitnessOperator,
                                  effective_spaces, party_spaces,
                                  switch_process_spaces)
@@ -101,9 +103,15 @@ def test_effective_process_trace_and_rank(m4, w_eff):
     assert eigs.min() > -1e-9
 
 
-def test_effective_process_validation_catches_bad_matrix():
-    with pytest.raises(ValueError, match="Hermitian"):
-        ProcessMatrix(effective_spaces(4), np.eye(1024) + 1j * np.eye(1024))
+def test_process_factor_validation():
+    with pytest.raises(ValueError, match="does not match spaces"):
+        ProcessMatrix(effective_spaces(4), np.ones((1023, 2)))
+    with pytest.raises(ValueError, match="does not match spaces"):
+        ProcessMatrix(effective_spaces(4), np.ones(1024))
+    bad = np.ones((1024, 2), dtype=complex)
+    bad[5, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        ProcessMatrix(effective_spaces(4), bad)
 
 
 def test_process_spaces_have_declared_dimensions(w_eff):
@@ -139,6 +147,35 @@ def test_witness_weight_validation():
         witness_operator([(orc, 0, 0.5)])
     with pytest.raises(ValueError, match="out of range"):
         witness_operator([(orc, 7, 1.0)])
+
+
+def test_witness_rejects_non_finite_weights():
+    orc = chart_fixture("table1")[0]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            witness_operator([(orc, 0, bad)])
+    with pytest.raises(ValueError, match="weights must be finite"):
+        witness_operator([(orc, 0, 1.0), (orc, 1, np.nan)])
+
+
+def _kron_witness(components):
+    """Reference dense witness: one kron per component, readout last."""
+    out = np.zeros((1024, 1024), dtype=complex)
+    for oracle, y, q in components:
+        g = oracle_choi_ket(oracle).conj()
+        proj = np.zeros((4, 4))
+        proj[y, y] = 1.0
+        out += q * np.kron(np.outer(g, g.conj()), proj)
+    return out
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_witness_matrix_matches_kron_reference(n, seed):
+    rng = np.random.default_rng(seed)
+    comps = [(random_oracle(rng), int(rng.integers(0, 4)), q)
+             for q in rng.dirichlet(np.ones(n))]
+    assert_allclose(witness_operator(comps).matrix(), _kron_witness(comps), atol=1e-12)
 
 
 def test_witness_linearity(w_eff):
@@ -200,6 +237,47 @@ def test_cross_formalism_agreement(w_eff, m4):
             assert abs(val - dist[y]) < 1e-8
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_witness_value_matches_switch_for_random_oracles(m4, seed):
+    # Haar-random gates almost never satisfy the promise
+    rng = np.random.default_rng(seed)
+    psi = random_state(2, rng)
+    orc = random_oracle(rng)
+    w = build_effective_process(psi, m4)
+    dist = run_hadamard_algorithm(orc, SIGMA_STAR, m4, psi).outcome_distribution
+    vals = [success_probability(w, witness_operator([(orc, y, 1.0)])) for y in range(4)]
+    assert_allclose(vals, dist, atol=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rank=st.integers(1, 4), c_at=st.integers(0, 8), n=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_factored_evaluation_matches_dense(rank, c_at, n, seed):
+    # c_at is the position of the readout space among the nine
+    rng = np.random.default_rng(seed)
+    parties = party_spaces()
+    spaces = parties[:c_at] + [LabeledSpace("c", 4)] + parties[c_at:]
+    a = rng.normal(size=(1024, rank)) + 1j * rng.normal(size=(1024, rank))
+    a /= 4.0 * np.linalg.norm(a)    # Tr W = 1/16 keeps Tr[G W] within [0, 1]
+    w = ProcessMatrix(spaces, a)
+    # WitnessOperator validates outcomes against the last space's dimension
+    comps = [(random_oracle(rng), int(rng.integers(0, spaces[-1].dim)), q)
+             for q in rng.dirichlet(np.ones(n))]
+    g = WitnessOperator(spaces, comps)
+    order = list(range(c_at)) + [8] + list(range(c_at, 8))
+    dense_g = reorder_matrix(_kron_witness(comps), [2] * 8 + [4], order)
+    dense = float(np.real(np.sum(dense_g * w.matrix.T)))
+    assert abs(success_probability(w, g) - dense) < 1e-12
+
+    si = superinstrument(w)
+    assert si.spaces == tuple(parties)
+    m = w.matrix.reshape([s.dim for s in spaces] * 2)
+    for y in range(4):
+        block = np.take(np.take(m, y, axis=9 + c_at), y, axis=c_at)
+        assert_allclose(si.parts[y], block.reshape(256, 256), atol=1e-14)
+
+
 def test_structured_evaluation_matches_dense_trace(w_eff):
     rng = np.random.default_rng(4)
     orc = random_oracle(rng)
@@ -224,7 +302,7 @@ def test_superinstrument_extracts_diagonal_blocks():
     a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     rho = a @ a.conj().T
     spaces = [LabeledSpace("A_I", 2), LabeledSpace("A_O", 2), LabeledSpace("c", 4)]
-    w = ProcessMatrix(spaces, rho, validate=False)
+    w = ProcessMatrix(spaces, a)
     si = superinstrument(w)
     arr = rho.reshape(4, 4, 4, 4)
     for y in range(4):
@@ -235,9 +313,8 @@ def test_superinstrument_consistency_on_random_process():
     # blockwise evaluation equals the dense trace for a random PSD process
     rng = np.random.default_rng(6)
     a = rng.normal(size=(1024, 64)) + 1j * rng.normal(size=(1024, 64))
-    rho = a @ a.conj().T
-    rho *= 16.0 / np.trace(rho).real
-    w = ProcessMatrix(effective_spaces(4), rho, validate=False)
+    a *= 4.0 / np.linalg.norm(a)
+    w = ProcessMatrix(effective_spaces(4), a)
     orc = random_oracle(rng)
     g = witness_operator([(orc, 1, 1.0)])
     dense = float(np.real(np.einsum("ab,ba->", g.matrix(), w.matrix)))
@@ -255,7 +332,7 @@ def _witness_blocks(g: WitnessOperator):
 
 
 def test_superinstrument_requires_readout_space():
-    w = ProcessMatrix(party_spaces(), np.eye(256), validate=False)
+    w = ProcessMatrix(party_spaces(), np.eye(256))
     with pytest.raises(ValueError, match="readout"):
         superinstrument(w)
 
@@ -303,6 +380,55 @@ def test_zero_parts_pass_vacuously_but_flagged():
     assert report.passed
     assert not report.normalized
     assert report.trace == 0.0
+
+
+def _psd_check(report, key="ABCD"):
+    return next(c for c in report.checks if c.name == f"psd[{key}]")
+
+
+def test_verifier_support_includes_off_diagonal_entries():
+    # zero diagonal: a support taken from the diagonal would be empty
+    parts = _zero_parts()
+    part = np.zeros((1024, 1024), dtype=complex)
+    part[3, 700] = part[700, 3] = 1.0
+    parts[("A", "B", "C", "D")] = part
+    check = _psd_check(verify_ccgo_decomposition(parts, tolerance=1e-9))
+    assert not check.passed
+    assert check.residual == pytest.approx(1.0, abs=1e-12)
+
+    part = np.zeros((1024, 1024), dtype=complex)
+    part[12, 900] = 0.3 - 0.4j
+    parts[("A", "B", "C", "D")] = part
+    check = _psd_check(verify_ccgo_decomposition(parts, tolerance=1e-9))
+    assert not check.passed
+    assert check.residual == pytest.approx(0.5, abs=1e-12)
+
+
+def test_verifier_support_block_matches_full_spectrum():
+    # a comb with a negative direction on a few rows of its support: the
+    # defect from the support block equals the one from the full matrix
+    comb = definite_order_process("BADC", random_state(2, np.random.default_rng(9)),
+                                  answer_y=2).matrix.copy()
+    rows = np.flatnonzero(np.abs(comb).sum(axis=1))[:5]
+    comb[rows, rows] -= 0.05
+    parts = _zero_parts()
+    parts[("B", "A", "D", "C")] = comb
+    check = _psd_check(verify_ccgo_decomposition(parts, tolerance=1e-9), "BADC")
+    expected = -np.linalg.eigvalsh(comb).min()
+    assert not check.passed
+    assert check.residual == pytest.approx(expected, abs=1e-12)
+
+
+def test_verifier_full_support_psd_parts_pass():
+    rng = np.random.default_rng(10)
+    parts = _zero_parts()
+    for key in [("A", "B", "C", "D"), ("D", "C", "B", "A"), ("C", "A", "D", "B")]:
+        a = rng.normal(size=(1024, 6)) + 1j * rng.normal(size=(1024, 6))
+        parts[key] = a @ a.conj().T
+        assert np.all(parts[key] != 0)
+    report = verify_ccgo_decomposition(parts, tolerance=1e-9)
+    for key in ["ABCD", "DCBA", "CADB"]:
+        assert _psd_check(report, key).passed
 
 
 def test_verifier_rejects_wrong_keys():
