@@ -214,7 +214,9 @@ class WitnessOperator:
             raise ValueError("weights must be finite")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be nonnegative and sum to 1")
-        p = spaces[-1].dim
+        if "c" not in [s.label for s in spaces]:
+            raise ValueError("witness spaces have no readout space 'c'")
+        p = spaces[space_index(spaces, "c")].dim
         for o, y, _ in components:
             if o.N != 4 or o.dim != 2:
                 raise ValueError("witness components need four qubit gates")
@@ -224,17 +226,23 @@ class WitnessOperator:
         object.__setattr__(self, "components", components)
 
     def matrix(self) -> np.ndarray:
-        """Dense form: sum_k q_k (|U_k>><<U_k|)^T (x) |y_k><y_k|."""
-        p = self.spaces[-1].dim
-        d = int(np.prod(space_dims(self.spaces))) // p
-        out = np.zeros((d, p, d, p), dtype=complex)
+        """Dense form: sum_k q_k (|U_k>><<U_k|)^T (x) |y_k><y_k|, with the
+        readout factor at the position of space ``c``."""
+        c = space_index(self.spaces, "c")
+        dims = space_dims(self.spaces)
+        p = dims[c]
+        d = int(np.prod(dims)) // p
+        out = np.zeros((p, d, p, d), dtype=complex)
         for y in range(p):
             comps = [(o, q) for o, yk, q in self.components if yk == y]
             if comps:
                 # columns are the transposed projectors' kets
                 b = np.array([oracle_choi_ket(o) for o, _ in comps]).conj().T
                 q = np.array([q for _, q in comps])
-                out[:, y, :, y] = (b * q) @ b.conj().T
+                out[y, :, y, :] = (b * q) @ b.conj().T
+        # move the readout axis from first to its place among the spaces
+        order = [p] + dims[:c] + dims[c + 1:]
+        out = np.moveaxis(out.reshape(order + order), [0, len(dims)], [c, len(dims) + c])
         return out.reshape(d * p, d * p)
 
 

@@ -261,12 +261,12 @@ def test_factored_evaluation_matches_dense(rank, c_at, n, seed):
     a = rng.normal(size=(1024, rank)) + 1j * rng.normal(size=(1024, rank))
     a /= 4.0 * np.linalg.norm(a)    # Tr W = 1/16 keeps Tr[G W] within [0, 1]
     w = ProcessMatrix(spaces, a)
-    # WitnessOperator validates outcomes against the last space's dimension
-    comps = [(random_oracle(rng), int(rng.integers(0, spaces[-1].dim)), q)
+    comps = [(random_oracle(rng), int(rng.integers(0, 4)), q)
              for q in rng.dirichlet(np.ones(n))]
     g = WitnessOperator(spaces, comps)
     order = list(range(c_at)) + [8] + list(range(c_at, 8))
     dense_g = reorder_matrix(_kron_witness(comps), [2] * 8 + [4], order)
+    assert_allclose(g.matrix(), dense_g, atol=1e-12)
     dense = float(np.real(np.sum(dense_g * w.matrix.T)))
     assert abs(success_probability(w, g) - dense) < 1e-12
 
@@ -276,6 +276,29 @@ def test_factored_evaluation_matches_dense(rank, c_at, n, seed):
     for y in range(4):
         block = np.take(np.take(m, y, axis=9 + c_at), y, axis=c_at)
         assert_allclose(si.parts[y], block.reshape(256, 256), atol=1e-14)
+
+
+def test_witness_with_readout_first_matches_readout_last():
+    rng = np.random.default_rng(8)
+    parties = party_spaces()
+    last = parties + [LabeledSpace("c", 4)]
+    first = [LabeledSpace("c", 4)] + parties
+    a = rng.normal(size=(1024, 2)) + 1j * rng.normal(size=(1024, 2))
+    a /= 4.0 * np.linalg.norm(a)
+    a_first = np.moveaxis(a.reshape([2] * 8 + [4, 2]), 8, 0).reshape(1024, 2)
+    comps = [(random_oracle(rng), 3, 0.6), (random_oracle(rng), 1, 0.4)]
+    g = WitnessOperator(first, comps)
+    w = ProcessMatrix(first, a_first)
+    dense = float(np.real(np.sum(g.matrix() * w.matrix.T)))
+    value = success_probability(w, g)
+    assert abs(value - dense) < 1e-12
+    assert abs(value - success_probability(ProcessMatrix(last, a), WitnessOperator(last, comps))) < 1e-12
+
+
+def test_witness_requires_readout_space():
+    with pytest.raises(ValueError, match="no readout space"):
+        WitnessOperator(party_spaces() + [LabeledSpace("x", 4)],
+                        [(chart_fixture("table1")[0], 0, 1.0)])
 
 
 def test_structured_evaluation_matches_dense_trace(w_eff):

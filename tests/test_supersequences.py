@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from switchlab import (PermutationSet, SIGMA_STAR, embed_sequence,
                        is_supersequence, quartet_census, scs)
-from switchlab.supersequences import _shortest_path
+from switchlab.supersequences import _shortest_paths
 
 
 def perms_of(*words):
@@ -110,14 +111,59 @@ def test_quartet_census_counts():
     assert census.histogram == {6: 37, 7: 946, 8: 779, 9: 9}
 
 
+def ordering_sets(n, size):
+    return st.lists(st.permutations(range(n)), min_size=size, max_size=size,
+                    unique_by=tuple)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 4), data=st.data())
 def test_census_path_matches_brute_force(n, data):
-    rows = data.draw(st.lists(st.permutations(range(n)), min_size=1,
-                              max_size=6 if n < 4 else 3, unique_by=tuple))
+    rows = data.draw(ordering_sets(n, data.draw(st.integers(1, 6 if n < 4 else 3))))
     alphabet = "ABCD"[:n]
     words = ["".join(alphabet[j] for j in row) for row in rows]
-    assert len(_shortest_path(rows, n)) == brute_force_scs_length(words, alphabet)
+    (path,) = _shortest_paths([rows])
+    assert len(path) == brute_force_scs_length(words, alphabet)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_batched_paths_match_single_searches(n, data):
+    # members share one visited-key array, so a key leaking between them
+    # would shorten or reroute some member's path
+    p = data.draw(st.integers(1, min(3, math.factorial(n))))
+    batch = data.draw(st.lists(ordering_sets(n, p), min_size=1, max_size=6))
+    alphabet = "ABCD"[:n]
+    paths = _shortest_paths(batch)
+    assert len(paths) == len(batch)
+    for rows, path in zip(batch, paths):
+        assert path == _shortest_paths([rows])[0]
+        words = ["".join(alphabet[j] for j in row) for row in rows]
+        assert len(path) == brute_force_scs_length(words, alphabet)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_scs_is_the_first_shortest_supersequence(n, data):
+    rows = data.draw(ordering_sets(n, data.draw(st.integers(1, 4 if n < 4 else 3))))
+    perms = PermutationSet(rows, require_identity_reference=False)
+    words = perms.to_strings()
+    alphabet = "ABCD"[:n]
+    length = brute_force_scs_length(words, alphabet)
+    first = next("".join(c) for c in itertools.product(alphabet, repeat=length)
+                 if all(is_supersequence("".join(c), w)[0] for w in words))
+    assert scs(perms).sequence == first
+
+
+def test_quartet_census_rejects_label_counts_outside_one_to_five():
+    for bad in (0, 6, 8):
+        with pytest.raises(ValueError, match="between 1 and 5"):
+            quartet_census(n_labels=bad)
+
+
+def test_quartet_census_small_label_counts():
+    assert quartet_census(n_labels=1).total == 0
+    assert quartet_census(n_labels=3).histogram == {5: 6, 6: 4}
 
 
 def test_census_collects_the_nine_hardest():
