@@ -7,12 +7,14 @@ the signs forming one column of the sign matrix.  Enumeration iterates all
 ordered gate assignments (labels matter) in lexicographic order, vectorized
 over fixed-size slices of assignments.
 
-Equivalence of gate sets under a common change of basis is decided
-explicitly: the intertwiner space {V : V U_i = U'_i V} is the nullspace of
-stacked Sylvester constraints, and the unitary polar factor of any
-invertible element is a verified conjugator.  A phase-insensitive variant
-classifies the induced Bloch rotations the same way, which is the relation
-relevant when the sets only enter through their Choi projectors.
+Qubit gate sets equivalent under a common change of basis share a
+canonical key.  With each gate written U = a I + b.sigma, conjugation fixes
+a and turns Re b and Im b by one proper rotation, so the key is the scalars
+plus the vectors' coordinates in a right-handed frame built from the vectors
+themselves; the rotation between two frames, lifted to SU(2), certifies each
+merge.  The phase-insensitive relation (the one relevant when the sets only
+enter through their Choi projectors) uses the unit quaternion of
+U/sqrt(det U) instead, whose sign is free only for half turns.
 """
 from __future__ import annotations
 
@@ -157,112 +159,123 @@ def chart_fixture(which: str) -> list[OracleSet]:
 # Conjugation equivalence
 # ---------------------------------------------------------------------------
 
-_PAULI_VEC = [pauli(n).matrix for n in "XYZ"]
+CONJUGATOR_TOL = 1e-8   # certificates may miss exact conjugation by this; float error is ~1e-15
+_KEY_DECIMALS = 8       # float noise never splits a rounded key; every merge is verified anyway
+_DEGENERATE = 1e-6      # shorter vectors span no frame axis; |q0| below it marks a half turn
+
+_PAULI_VEC = np.stack([pauli(n).matrix for n in "XYZ"])
+_TAU = np.stack([pauli(n).matrix for n in "IXYZ"])
 
 
 def bloch_rotation(u: np.ndarray) -> np.ndarray:
-    """Rotation induced on the Pauli basis by conjugation with u (phase-free)."""
-    return np.array([
-        [np.trace(pa @ u @ pb @ u.conj().T).real / 2.0 for pb in _PAULI_VEC]
-        for pa in _PAULI_VEC
-    ])
+    """Rotation induced on the Pauli basis by conjugation with u (phase-free);
+    a stack of unitaries ``[..., 2, 2]`` gives a stack ``[..., 3, 3]``."""
+    u = np.asarray(u)[..., None, :, :]
+    images = u @ _PAULI_VEC @ u.conj().swapaxes(-1, -2)    # u sigma_b u^dag
+    return np.einsum("aij,...bji->...ab", _PAULI_VEC, images).real / 2.0
 
 
-def _nullspace(k: np.ndarray, cols: int) -> np.ndarray:
-    _, s, vh = np.linalg.svd(k)
-    small = int(np.sum(s < 1e-9 * max(1.0, float(s[0])))) if s.size else 0
-    small += max(0, cols - s.size)
-    if small == 0:
-        return np.empty((0, cols), dtype=vh.dtype)
-    return vh.conj()[cols - small:]
+def _first_long(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``vecs[P, M, 3]``: the first long vector, normalized, and whether one exists."""
+    norms = np.linalg.norm(vecs, axis=-1)
+    rows, j = np.arange(len(vecs)), np.argmax(norms > _DEGENERATE, axis=1)
+    return (vecs[rows, j] / np.maximum(norms[rows, j], _DEGENERATE)[:, None],
+            norms[rows, j] > _DEGENERATE)
 
 
-def _intertwiner(lhs, rhs, dim, verify, tol, real=False, tries=12, seed=7):
-    """Invertible X with X a = b X for all pairs, unitarized by polar
-    decomposition and verified; None if the pairs are inequivalent.
-
-    Invertible elements are dense in the solution space whenever one exists,
-    so a few random combinations of the nullspace basis suffice; real
-    problems need real coefficients so the polar factor stays orthogonal.
-    """
-    eye = np.eye(dim)
-    k = np.vstack([np.kron(eye, a.T) - np.kron(b, eye) for a, b in zip(lhs, rhs)])
-    basis = _nullspace(k, dim * dim)
-    if real:
-        basis = basis.real
-    if basis.shape[0] == 0 or np.max(np.abs(basis)) < 1e-12:
-        return None
-    rng = np.random.default_rng(seed)
-    candidates = list(basis)
-    for _ in range(tries):
-        coeff = rng.normal(size=basis.shape[0])
-        if not real:
-            coeff = coeff + 1j * rng.normal(size=basis.shape[0])
-        candidates.append(coeff @ basis)
-    for c in candidates:
-        x = c.reshape(dim, dim)
-        if abs(np.linalg.det(x)) < 1e-8:
-            continue
-        u, _, vh = np.linalg.svd(x)
-        v = u @ vh
-        if verify(v) <= tol:
-            return v
-    return None
+def _canonical(rows: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Key and right-handed frame (rows e1, e2, e3) from the P sign choices
+    ``rows[P, M, 4]`` of a set, each row a scalar and a vector: the key is
+    the scalars, then the frame coordinates of the vectors, rounded, and the
+    smallest key over the P choices is kept."""
+    vecs = rows[..., 1:]
+    e1, found = _first_long(vecs)
+    e1[~found] = (1.0, 0.0, 0.0)    # all-scalar sets: the identity frame
+    e2, found = _first_long(vecs - (vecs @ e1[:, :, None]) * e1[:, None, :])
+    axis = np.eye(3)[np.argmin(np.abs(e1), axis=1)]    # collinear sets: a fixed completion
+    fill = axis - np.sum(axis * e1, axis=1, keepdims=True) * e1
+    e2[~found] = fill[~found] / np.linalg.norm(fill[~found], axis=1, keepdims=True)
+    frames = np.stack([e1, e2, np.cross(e1, e2)], axis=1)
+    coords = (vecs @ frames.swapaxes(1, 2)).reshape(len(rows), -1)
+    keys = np.round(np.concatenate([rows[..., 0], coords], axis=1), _KEY_DECIMALS)
+    best = np.lexsort(keys.T[::-1])[0]    # stable: the first of equal keys
+    return tuple(keys[best].tolist()), frames[best]
 
 
-def find_conjugator(a: OracleSet, b: OracleSet, tol: float = 1e-8) -> np.ndarray | None:
-    """Unitary V with V U_i V^dag = U'_i exactly (phases included), or None."""
+def _canonical_form(mats: np.ndarray, phase_sensitive: bool) -> tuple:
+    """Key, frame, and what a certificate must map (the gates ``mats[N, 2, 2]``,
+    or their Bloch rotations when phases are ignored)."""
+    if mats.shape[1:] != (2, 2):
+        raise ValueError("equivalence classification expects qubit gates")
+    coef = np.einsum("mij,nji->nm", _TAU, mats) / 2    # mats = coef . (I, X, Y, Z)
+    if phase_sensitive:
+        return (*_canonical(np.stack([coef.real, coef.imag], axis=1).reshape(1, -1, 4)), mats)
+    # U/sqrt(det U) = q0 I - i q.sigma with q0 >= 0; a half turn (q0 = 0) has
+    # no such sign, so every sign pattern over the half turns is tried
+    coef = coef / np.sqrt(np.linalg.det(mats))[:, None]
+    quat = np.concatenate([coef[:, :1].real, -coef[:, 1:].imag], axis=1)
+    quat *= np.where(quat[:, :1] < 0, -1.0, 1.0)
+    half = np.flatnonzero(np.abs(quat[:, 0]) <= _DEGENERATE)
+    signs = np.ones((2 ** len(half), len(quat)))
+    signs[:, half] = 1 - 2 * ((np.arange(len(signs))[:, None] >> np.arange(len(half))) & 1)
+    return (*_canonical(quat * signs[..., None]), bloch_rotation(mats))
+
+
+def _su2_lift(o: np.ndarray) -> np.ndarray:
+    """A unitary V whose Bloch rotation is the proper rotation o: with
+    V sigma_k V^dag = sum_j o[j, k] sigma_j, each
+    T(E) = sum_mu (V tau_mu V^dag) E tau_mu equals 2 tr(V^dag E) V."""
+    images = np.einsum("jk,jab->kab", o, _PAULI_VEC)
+    t = _TAU + np.einsum("kab,ebc,kcd->ead", images, _TAU, _PAULI_VEC)
+    best = t[np.argmax(np.linalg.norm(t, axis=(1, 2)))]
+    return best / np.sqrt(np.linalg.det(best))
+
+
+def _conjugation_error(c: np.ndarray, rep: np.ndarray, member: np.ndarray) -> float:
+    return float(np.max(np.abs(c @ rep @ c.conj().T - member)))
+
+
+def _certificate(rep_form: tuple, member_form: tuple, phase_sensitive: bool,
+                 tol: float) -> np.ndarray | None:
+    """The conjugator that carries the representative's frame onto the
+    member's, if it maps the one set onto the other within tol."""
+    _, rep_frame, rep = rep_form
+    _, member_frame, member = member_form
+    c = member_frame.T @ rep_frame
+    if phase_sensitive:
+        c = _su2_lift(c)
+    return c if _conjugation_error(c, rep, member) <= tol else None
+
+
+def _pair_certificate(a: OracleSet, b: OracleSet, phase_sensitive: bool,
+                      tol: float) -> np.ndarray | None:
     if a.N != b.N or a.dim != b.dim:
         raise ValueError("oracle sets must have matching shape")
-    us, vs = list(a.matrices()), list(b.matrices())
-
-    def verify(v):
-        return max(np.max(np.abs(v @ u @ v.conj().T - w)) for u, w in zip(us, vs))
-
-    return _intertwiner(us, vs, a.dim, verify, tol)
+    return _certificate(_canonical_form(a.matrices(), phase_sensitive),
+                        _canonical_form(b.matrices(), phase_sensitive), phase_sensitive, tol)
 
 
-def find_rotation_conjugator(a: OracleSet, b: OracleSet, tol: float = 1e-8) -> np.ndarray | None:
+def find_conjugator(a: OracleSet, b: OracleSet, tol: float = CONJUGATOR_TOL) -> np.ndarray | None:
+    """Unitary V with V U_i V^dag = U'_i exactly (phases included), or None."""
+    return _pair_certificate(a, b, True, tol)
+
+
+def find_rotation_conjugator(a: OracleSet, b: OracleSet,
+                             tol: float = CONJUGATOR_TOL) -> np.ndarray | None:
     """Rotation R with R R(U_i) R^T = R(U'_i) for all i: conjugation
     equivalence up to arbitrary per-gate phases.  Returns a proper rotation
     (real orthogonal 3x3 with determinant +1) or None."""
-    ra = [bloch_rotation(u) for u in a.matrices()]
-    rb = [bloch_rotation(u) for u in b.matrices()]
-
-    def verify(o):
-        return max(np.max(np.abs(o @ r @ o.T - s)) for r, s in zip(ra, rb))
-
-    o = _intertwiner(ra, rb, 3, verify, tol, real=True)
-    # -O conjugates exactly like O and, in three dimensions, flips the sign
-    # of the determinant; only a proper rotation is the image of a unitary
-    if o is not None and np.linalg.det(o) < 0:
-        o = -o
-    return o
-
-
-def _strict_fingerprint(oracle: OracleSet) -> tuple:
-    mats = oracle.matrices()
-    vals = [np.trace(m) for m in mats]
-    vals += [np.trace(mats[i] @ mats[j]) for i in range(len(mats)) for j in range(len(mats))]
-    return tuple(np.round(np.asarray(vals), 8).tolist())
-
-
-def _rotation_fingerprint(oracle: OracleSet) -> tuple:
-    rots = [bloch_rotation(m) for m in oracle.matrices()]
-    vals = [np.trace(r) for r in rots]
-    vals += [np.trace(rots[i] @ rots[j]) for i in range(len(rots)) for j in range(len(rots))]
-    return tuple(np.round(np.asarray(vals), 8).tolist())
+    return _pair_certificate(a, b, False, tol)
 
 
 @dataclass(frozen=True)
 class EquivalenceClassification:
     """Partition of the input sets; ``classes`` holds input indices, the
-    first index of each class is its representative.  For method='explicit'
-    every non-representative member carries a verified conjugator onto its
-    representative in ``conjugators``."""
+    first index of each class is its representative.  Every other member
+    has in ``conjugators`` a verified conjugator from its representative:
+    a unitary, or a proper rotation when phases are ignored."""
 
     classes: tuple[tuple[int, ...], ...]
-    method: str
     phase_sensitive: bool
     conjugators: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
 
@@ -272,72 +285,49 @@ class EquivalenceClassification:
 
 
 def equivalence_classes(sets, phase_sensitive: bool = True,
-                        method: str = "explicit", tol: float = 1e-8) -> EquivalenceClassification:
+                        tol: float = CONJUGATOR_TOL) -> EquivalenceClassification:
     """Group oracle sets that a single change of basis maps onto each other.
 
-    phase_sensitive=True demands exact equality including global phases
-    (conjugating unitary constructed and verified per merge);
-    phase_sensitive=False quotients out per-gate phases by classifying the
-    induced Bloch rotations instead.  method='fingerprint' groups by cheap
-    trace invariants only (no verification) and is mainly a cross-check.
+    phase_sensitive=True demands exact equality including global phases;
+    phase_sensitive=False quotients out per-gate phases by comparing the
+    induced Bloch rotations instead.  Each set joins the first class with
+    its canonical key whose representative the frame-built conjugator maps
+    onto it within tol.
     """
-    sets = list(sets)
-    for s in sets:
-        if s.dim != 2:
-            raise ValueError("equivalence classification expects qubit gates")
-    fingerprint = _strict_fingerprint if phase_sensitive else _rotation_fingerprint
-    fps = [fingerprint(s) for s in sets]
-
-    if method == "fingerprint":
-        groups: dict[tuple, list[int]] = {}
-        for i, fp in enumerate(fps):
-            groups.setdefault(fp, []).append(i)
-        classes = tuple(tuple(v) for v in groups.values())
-        return EquivalenceClassification(classes, "fingerprint", phase_sensitive)
-    if method != "explicit":
-        raise ValueError(f"unknown method {method!r}")
-
-    find = find_conjugator if phase_sensitive else find_rotation_conjugator
-    by_fp: dict[tuple, list[int]] = {}   # fingerprint -> class representative indices
+    forms = [_canonical_form(s.matrices(), phase_sensitive) for s in sets]
+    by_key: dict[tuple, list[int]] = {}   # canonical key -> indices into classes
     classes: list[list[int]] = []
-    rep_class: dict[int, int] = {}
     conjugators: dict[int, np.ndarray] = {}
-    for i, s in enumerate(sets):
-        placed = False
-        for rep in by_fp.get(fps[i], ()):
-            v = find(sets[rep], s, tol)
-            if v is not None:
-                classes[rep_class[rep]].append(i)
-                conjugators[i] = v
-                placed = True
+    for i, form in enumerate(forms):
+        for k in by_key.get(form[0], ()):
+            c = _certificate(forms[classes[k][0]], form, phase_sensitive, tol)
+            if c is not None:
+                classes[k].append(i)
+                conjugators[i] = c
                 break
-        if not placed:
-            rep_class[i] = len(classes)
+        else:
+            by_key.setdefault(form[0], []).append(len(classes))
             classes.append([i])
-            by_fp.setdefault(fps[i], []).append(i)
-    return EquivalenceClassification(tuple(tuple(c) for c in classes), "explicit",
-                                     phase_sensitive, conjugators)
+    return EquivalenceClassification(tuple(map(tuple, classes)), phase_sensitive, conjugators)
 
 
 def verify_classification(classification: EquivalenceClassification, sets,
-                          tol: float = 1e-8) -> None:
-    """Re-verify every recorded merge; raises InvariantViolation on failure."""
-    if classification.method != "explicit":
-        raise ValueError("only explicit classifications carry certificates")
+                          tol: float = CONJUGATOR_TOL) -> None:
+    """Re-verify every recorded merge: its certificate must be unitary (a
+    proper rotation when phases are ignored) and must map the class
+    representative onto the member.  Raises InvariantViolation on failure."""
+    strict = classification.phase_sensitive
     sets = list(sets)
     for cls in classification.classes:
-        rep = sets[cls[0]].matrices()
-        for i in cls[1:]:
-            v = classification.conjugators[i]
-            member = sets[i].matrices()
-            if classification.phase_sensitive:
-                err = max(np.max(np.abs(v @ u @ v.conj().T - w))
-                          for u, w in zip(rep, member))
-            else:
-                ra = [bloch_rotation(u) for u in rep]
-                rb = [bloch_rotation(u) for u in member]
-                err = max(np.max(np.abs(v @ r @ v.T - s)) for r, s in zip(ra, rb))
-            if err > tol:
+        mats = [sets[i].matrices() for i in cls]
+        rep, *members = mats if strict else [bloch_rotation(m) for m in mats]
+        for i, member in zip(cls[1:], members):
+            c = classification.conjugators[i]
+            defect = float(np.max(np.abs(c @ c.conj().T - np.eye(len(c)))))
+            if not strict:
+                defect = max(defect, abs(np.linalg.det(c) - 1.0))
+            err = _conjugation_error(c, rep, member)
+            if max(defect, err) > tol:
                 raise InvariantViolation(
-                    f"merge of set {i} into class of {cls[0]} fails verification ({err:.2e})"
-                )
+                    f"merge of set {i} into class of {cls[0]} fails verification "
+                    f"(certificate defect {defect:.2e}, conjugation error {err:.2e})")

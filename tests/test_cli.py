@@ -58,6 +58,12 @@ def test_enumerate_classes(capsys):
     assert env["results"]["classes"]["phase_insensitive"] == 98
 
 
+def test_enumerate_pauli_classes(capsys):
+    env = run_json(capsys, "enumerate", "--gates", "pauli", "--classes")
+    assert env["results"]["total"] == 136
+    assert env["results"]["classes"] == {"phase_sensitive": 35, "phase_insensitive": 31}
+
+
 def test_enumerate_listing(capsys):
     env = run_json(capsys, "enumerate", "--gates", "pauli", "--list")
     assert env["results"]["total"] == 136

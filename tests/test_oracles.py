@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchlab import (OracleSet, PermutationSet, SIGMA_STAR, chart_fixture,
                        check_promise, enumerate_promise_sets,
@@ -217,6 +219,20 @@ def test_find_conjugator_rejects_inequivalent():
                            oracle_of("Z", "Z", "Z", "Z")) is None
 
 
+def test_pairwise_search_rejects_mismatched_sets():
+    # zip would silently compare only the first three gates
+    for find in (find_conjugator, find_rotation_conjugator):
+        with pytest.raises(ValueError, match="matching shape"):
+            find(oracle_of("Z", "X", "Z", "X"), oracle_of("Z", "X", "Z"))
+
+
+def test_pairwise_search_expects_qubits():
+    qutrit = OracleSet((NamedGate("C", np.roll(np.eye(3), 1, axis=0)),))
+    for find in (find_conjugator, find_rotation_conjugator):
+        with pytest.raises(ValueError, match="qubit"):
+            find(qutrit, qutrit)
+
+
 def test_rotation_conjugator_ignores_phases():
     # (Z, Z, X, Y) and (Z, Z, Y, X) differ by a quarter turn about z plus
     # per-gate phases, so only the phase-insensitive method merges them
@@ -256,12 +272,16 @@ def test_phase_insensitive_conjugators_are_proper_rotations(promise_sets):
 def test_classification_invariant_under_input_order(promise_sets):
     _, sets = promise_sets
     subset = sets[:120]
-    rng = np.random.default_rng(2)
-    shuffled = [subset[i] for i in rng.permutation(len(subset))]
-    a = equivalence_classes(subset)
-    b = equivalence_classes(shuffled)
-    assert a.n_classes == b.n_classes
-    assert sorted(len(c) for c in a.classes) == sorted(len(c) for c in b.classes)
+    order = np.random.default_rng(2).permutation(len(subset))
+    shuffled = [subset[i] for i in order]
+
+    def partition(classes, index):
+        return sorted(sorted(int(index[i]) for i in c) for c in classes)
+
+    for phase_sensitive in (True, False):
+        a = equivalence_classes(subset, phase_sensitive)
+        b = equivalence_classes(shuffled, phase_sensitive)
+        assert partition(b.classes, order) == partition(a.classes, range(len(subset)))
 
 
 def test_classification_invariant_under_common_rotation(promise_sets):
@@ -275,12 +295,57 @@ def test_classification_invariant_under_common_rotation(promise_sets):
     assert sorted(len(c) for c in a.classes) == sorted(len(c) for c in b.classes)
 
 
-def test_fingerprint_method_only_groups(promise_sets):
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       picks=st.lists(st.integers(0, 459), min_size=1, max_size=30, unique=True))
+def test_conjugated_copies_join_their_originals(promise_sets, seed, picks):
     _, sets = promise_sets
-    cls = equivalence_classes(sets[:60], method="fingerprint")
-    assert cls.method == "fingerprint"
-    with pytest.raises(ValueError, match="certificates"):
-        verify_classification(cls, sets[:60])
+    subset = [sets[i] for i in picks]
+    v = random_unitary(2, np.random.default_rng(seed))
+    both = subset + [s.conjugated(v) for s in subset]
+    for phase_sensitive in (True, False):
+        cls = equivalence_classes(both, phase_sensitive)
+        verify_classification(cls, both)
+        class_of = {i: k for k, c in enumerate(cls.classes) for i in c}
+        assert all(class_of[k] == class_of[k + len(subset)] for k in range(len(subset)))
+        assert cls.n_classes == equivalence_classes(subset, phase_sensitive).n_classes
+
+
+def test_collinear_sets_merge_under_any_conjugation():
+    s = NamedGate("S", np.diag([1.0, 1j]))
+    orc = OracleSet((pauli("Z"), s, pauli("1"), s))
+    rng = np.random.default_rng(4)
+    copies = [orc, orc.conjugated(pauli("X").matrix), orc.conjugated(random_unitary(2, rng))]
+    other = OracleSet((pauli("Z"), s, pauli("1"), pauli("Z")))
+    for phase_sensitive in (True, False):
+        cls = equivalence_classes(copies + [other], phase_sensitive)
+        verify_classification(cls, copies + [other])
+        assert cls.classes == ((0, 1, 2), (3,))
+
+
+def test_all_scalar_sets():
+    minus, i_phase = (NamedGate(n, k * np.eye(2)) for n, k in (("-I", -1), ("iI", 1j)))
+    a = OracleSet((pauli("1"), minus, i_phase, pauli("1")))
+    sets = [a, a.conjugated(random_unitary(2, np.random.default_rng(5))), oracle_of(*"1111")]
+    strict = equivalence_classes(sets)
+    verify_classification(strict, sets)
+    assert strict.classes == ((0, 1), (2,))
+    loose = equivalence_classes(sets, phase_sensitive=False)
+    verify_classification(loose, sets)
+    assert loose.classes == ((0, 1, 2),)
+
+
+def test_mirror_images_differ_only_strictly():
+    # (-X, -Y, -Z) is the image of (X, Y, Z) under the inversion -1, which
+    # no rotation realizes; per-gate phases absorb the signs
+    negated = {n: NamedGate(f"-{n}", -pauli(n).matrix) for n in "XYZ"}
+    pair = [oracle_of("X", "Y", "Z", "1"),
+            OracleSet((negated["X"], negated["Y"], negated["Z"], pauli("1")))]
+    assert equivalence_classes(pair).n_classes == 2
+    assert find_conjugator(*pair) is None
+    loose = equivalence_classes(pair, phase_sensitive=False)
+    verify_classification(loose, pair)
+    assert loose.n_classes == 1
 
 
 def test_verify_classification_detects_tampering(promise_sets):
@@ -288,8 +353,18 @@ def test_verify_classification_detects_tampering(promise_sets):
     subset = sets[:40]
     cls = equivalence_classes(subset)
     tampered = {k: np.eye(2) * 1j for k in cls.conjugators}
-    if not tampered:
-        pytest.skip("subset produced singleton classes only")
-    bad = type(cls)(cls.classes, cls.method, cls.phase_sensitive, tampered)
+    assert tampered
+    bad = type(cls)(cls.classes, cls.phase_sensitive, tampered)
     with pytest.raises(InvariantViolation):
         verify_classification(bad, subset)
+
+
+def test_verify_classification_rejects_reflections(promise_sets):
+    # -O conjugates Bloch rotations exactly as O does, but has determinant -1
+    _, sets = promise_sets
+    loose = equivalence_classes(sets[:40], phase_sensitive=False)
+    assert loose.conjugators
+    reflected = {k: -o for k, o in loose.conjugators.items()}
+    bad = type(loose)(loose.classes, loose.phase_sensitive, reflected)
+    with pytest.raises(InvariantViolation, match="fails verification"):
+        verify_classification(bad, sets[:40])
