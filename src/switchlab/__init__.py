@@ -11,8 +11,7 @@ from .gates import (NamedGate, SignMatrix, fourier_matrix, gate_set_G,
                     hadamard_m4, pauli, sylvester_hadamard)
 from .linalg import (ATOL, InvariantViolation, LabeledSpace, basis_state,
                      choi_vector, fidelity, kron_all, partial_trace,
-                     random_state, random_unitary, tensor_product,
-                     trace_out_pure)
+                     random_state, random_unitary)
 from .oracles import (EnumerationCensus, EquivalenceClassification,
                       PromiseVerdict, bloch_rotation, chart_fixture,
                       check_promise, enumerate_promise_sets,
@@ -58,7 +57,6 @@ __all__ = [
     "random_state", "random_unitary", "run_fourier_algorithm",
     "run_hadamard_algorithm", "sample_shots", "scs", "simulate_fixed_circuit",
     "success_probability", "superinstrument", "switch_equivalence_fidelity",
-    "sylvester_hadamard", "tensor_product", "trace_out_pure",
-    "uniform_witness", "verify_ccgo_decomposition", "verify_classification",
-    "witness_operator",
+    "sylvester_hadamard", "uniform_witness", "verify_ccgo_decomposition",
+    "verify_classification", "witness_operator",
 ]

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (InvariantViolation, LabeledSpace, as_state, basis_state,
-                     kron_all, trace_out_pure)
+from .linalg import InvariantViolation, as_state, basis_state, kron_all
 from .oracles import chart_fixture
 from .supersequences import SupersequenceResult
 from .switch import _LABELS, OracleSet, PermutationSet, apply_n_switch
@@ -123,13 +122,11 @@ def switch_equivalence_fidelity(circuit: FixedOrderCircuit, oracle: OracleSet,
     """Overlap of the ancilla-reduced circuit output with the direct
     controlled-ordering evolution; 1 up to rounding for any valid circuit."""
     joint = simulate_fixed_circuit(circuit, oracle, control, target)
-    n, p, d = circuit.perms.N, circuit.perms.P, oracle.dim
-    spaces = [LabeledSpace("ctrl", p), LabeledSpace("target", d)] + [
-        LabeledSpace(f"anc_{_LABELS[i]}", d) for i in range(n)
-    ]
-    rho = trace_out_pure(joint, spaces, {f"anc_{_LABELS[i]}" for i in range(n)})
     reference = apply_n_switch(control, target, oracle, circuit.perms)
-    return float(np.real(reference.conj() @ rho @ reference))
+    # the ancillas are the trailing factors: with J the joint state as a
+    # (control, target) x ancillas matrix, the reduced state is J J^dagger
+    overlap = reference.conj() @ joint.reshape(reference.size, -1)
+    return float(np.vdot(overlap, overlap).real)
 
 
 # ---------------------------------------------------------------------------

@@ -50,21 +50,12 @@ def space_index(spaces, label: str) -> int:
     raise ValueError(f"unknown space label {label!r}")
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``a``'s indices slowest."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def kron_all(factors) -> np.ndarray:
     """Kronecker product of a sequence of arrays, first factor slowest."""
     out = np.array([[1.0 + 0j]]) if np.ndim(factors[0]) == 2 else np.array([1.0 + 0j])
     for f in factors:
         out = np.kron(out, f)
     return out
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
 
 
 def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool:
@@ -140,19 +131,6 @@ def reorder_matrix(m: np.ndarray, dims, order) -> np.ndarray:
     return np.transpose(m.reshape(list(dims) * 2), full).reshape(d, d)
 
 
-def _split_spaces(spaces, traced):
-    labels = [s.label for s in spaces]
-    if len(set(labels)) != len(labels):
-        raise ValueError("space labels must be unique")
-    traced = set(traced)
-    unknown = traced - set(labels)
-    if unknown:
-        raise ValueError(f"unknown space label(s) {sorted(unknown)!r}")
-    keep = [i for i, s in enumerate(spaces) if s.label not in traced]
-    drop = [i for i, s in enumerate(spaces) if s.label in traced]
-    return keep, drop
-
-
 def partial_trace(m: np.ndarray, spaces, traced) -> np.ndarray:
     """Trace an operator over the named subsystems.
 
@@ -164,7 +142,15 @@ def partial_trace(m: np.ndarray, spaces, traced) -> np.ndarray:
     m = np.asarray(m)
     if m.shape != (d, d):
         raise ValueError(f"operator shape {m.shape} does not match spaces (dim {d})")
-    keep, drop = _split_spaces(spaces, traced)
+    labels = [s.label for s in spaces]
+    if len(set(labels)) != len(labels):
+        raise ValueError("space labels must be unique")
+    traced = set(traced)
+    unknown = traced - set(labels)
+    if unknown:
+        raise ValueError(f"unknown space label(s) {sorted(unknown)!r}")
+    keep = [i for i, label in enumerate(labels) if label not in traced]
+    drop = [i for i, label in enumerate(labels) if label in traced]
     k = len(dims)
     t = m.reshape(dims + dims)
     row = list(range(k))
@@ -173,22 +159,6 @@ def partial_trace(m: np.ndarray, spaces, traced) -> np.ndarray:
     res = np.einsum(t, row + col, out)
     d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
     return res.reshape(d_keep, d_keep)
-
-
-def trace_out_pure(v: np.ndarray, spaces, traced) -> np.ndarray:
-    """Density matrix of a pure state after tracing out the named subsystems.
-
-    Cheaper than forming the full outer product first.
-    """
-    dims = space_dims(spaces)
-    v = np.asarray(v).reshape(-1)
-    if v.size != int(np.prod(dims)):
-        raise ValueError("state length does not match spaces")
-    keep, drop = _split_spaces(spaces, traced)
-    a = np.transpose(v.reshape(dims), keep + drop)
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    a = a.reshape(d_keep, -1)
-    return a @ a.conj().T
 
 
 def choi_vector(u: np.ndarray) -> np.ndarray:

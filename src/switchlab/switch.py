@@ -139,10 +139,6 @@ class NoiseModel:
         if not math.isfinite(self.epsilon):
             raise ValueError("epsilon must be a finite angle")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.gamma == 0.0 and self.epsilon == 0.0
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -181,6 +177,11 @@ def all_products(oracle: OracleSet, perms: PermutationSet) -> np.ndarray:
     return _ordering_products(oracle.matrices(), perms.sigma)
 
 
+def _branch_rows(pis: np.ndarray, amplitudes: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Rows amplitudes[x] * Pi_x |target>: the joint state, one control value per row."""
+    return amplitudes[:, None] * np.einsum("xij,j->xi", pis, target)
+
+
 def apply_n_switch(control: np.ndarray, target: np.ndarray,
                    oracle: OracleSet, perms: PermutationSet) -> np.ndarray:
     """Joint (control (x) target) state after the controlled-ordering gate:
@@ -191,31 +192,19 @@ def apply_n_switch(control: np.ndarray, target: np.ndarray,
         raise ValueError(f"control dimension {control.size} != P={perms.P}")
     if target.size != oracle.dim:
         raise ValueError("target dimension does not match the oracle gates")
-    pis = all_products(oracle, perms)
-    joint = control[:, None] * np.einsum("xij,j->xi", pis, target)
-    return joint.reshape(-1)
+    return _branch_rows(all_products(oracle, perms), control, target).reshape(-1)
 
 
-def _distribution_pure(pis: np.ndarray, u_ctrl: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Outcome distribution of u_ctrl^-1 . switch . u_ctrl on |0>|target>."""
-    c0 = u_ctrl[:, 0]
-    joint = c0[:, None] * np.einsum("xij,j->xi", pis, target)
-    out = np.einsum("yx,xi->yi", u_ctrl.conj().T, joint)
-    return np.sum(np.abs(out) ** 2, axis=1)
-
-
-def _distribution_dephased(pis: np.ndarray, u_ctrl: np.ndarray, target: np.ndarray,
-                           gamma: float) -> np.ndarray:
-    """Density-matrix evolution with post-switch control dephasing."""
-    p = u_ctrl.shape[0]
-    c0 = u_ctrl[:, 0]
-    joint = c0[:, None] * np.einsum("xij,j->xi", pis, target)
-    rho = np.einsum("xi,yj->xiyj", joint, joint.conj())
-    factor = (1.0 - gamma) + gamma * np.eye(p)
-    rho = rho * factor[:, None, :, None]
+def _distribution(pis: np.ndarray, u_ctrl: np.ndarray, target: np.ndarray,
+                  gamma: float = 0.0) -> np.ndarray:
+    """Control readout distribution of u_ctrl^-1 . switch . u_ctrl on
+    |0>|target>, with the post-switch control coherences scaled by 1 - gamma."""
+    joint = _branch_rows(pis, u_ctrl[:, 0], target)
+    rho = joint @ joint.conj().T  # control block, target traced out
+    if gamma != 0.0:
+        rho = rho * ((1.0 - gamma) + gamma * np.eye(len(rho)))
     uinv = u_ctrl.conj().T
-    rho = np.einsum("ax,xiyj,by->aibj", uinv, rho, uinv.conj())
-    return np.einsum("xixi->x", rho).real
+    return np.einsum("ax,xy,ay->a", uinv, rho, uinv.conj()).real
 
 
 def _overrotation(epsilon: float) -> np.ndarray:
@@ -224,12 +213,16 @@ def _overrotation(epsilon: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def _noisy_products(oracle: OracleSet, perms: PermutationSet, epsilon: float) -> np.ndarray:
-    if epsilon == 0.0:
-        return all_products(oracle, perms)
-    r = _overrotation(epsilon)
-    gates = tuple(NamedGate(g.name, r @ g.matrix) for g in oracle.gates)
-    return all_products(OracleSet(gates), perms)
+def _checked_target(oracle: OracleSet, perms: PermutationSet, target_state) -> np.ndarray:
+    """The target state, once the oracle fits the orderings and the target."""
+    if oracle.N != perms.N:
+        raise ValueError("oracle size does not match the permutation set")
+    target = as_state(target_state)
+    if target.size != oracle.dim:
+        raise ValueError("target dimension does not match the oracle gates")
+    if oracle.claimed_y is not None and oracle.claimed_y >= perms.P:
+        raise ValueError(f"claimed column {oracle.claimed_y} out of range for P = {perms.P}")
+    return target
 
 
 def _finish(dist: np.ndarray, claimed_y: int | None) -> RunResult:
@@ -250,18 +243,13 @@ def run_hadamard_algorithm(oracle: OracleSet, perms: PermutationSet, m: SignMatr
         raise ValueError(f"sign matrix order {m.P} does not match P={perms.P}")
     if oracle.dim != 2:
         raise ValueError("the sign-matrix algorithm runs qubit targets only")
-    target = as_state(target_state)
-    if target.size != oracle.dim:
-        raise ValueError("target dimension does not match the oracle gates")
-    h = m.as_gate()
-    if noise is None or noise.is_trivial:
-        dist = _distribution_pure(all_products(oracle, perms), h, target)
-    else:
-        pis = _noisy_products(oracle, perms, noise.epsilon)
-        if noise.gamma == 0.0:
-            dist = _distribution_pure(pis, h, target)
-        else:
-            dist = _distribution_dephased(pis, h, target, noise.gamma)
+    target = _checked_target(oracle, perms, target_state)
+    noise = noise or NoiseModel()
+    mats = oracle.matrices()
+    if noise.epsilon != 0.0:
+        mats = _overrotation(noise.epsilon) @ mats
+    dist = _distribution(_ordering_products(mats, perms.sigma), m.as_gate(), target,
+                         noise.gamma)
     return _finish(dist, oracle.claimed_y)
 
 
@@ -270,11 +258,9 @@ def run_fourier_algorithm(oracle: OracleSet, perms: PermutationSet,
     """Phase-estimation variant: conjugate the switch by F_P.  Decodes the
     promised exponent when the orderings differ by powers of exp(2 pi i/P);
     the promise itself forces target dimension >= P."""
-    target = as_state(target_state)
-    if target.size != oracle.dim:
-        raise ValueError("target dimension does not match the oracle gates")
-    f = fourier_matrix(perms.P)
-    dist = _distribution_pure(all_products(oracle, perms), f, target)
+    target = _checked_target(oracle, perms, target_state)
+    dist = _distribution(_ordering_products(oracle.matrices(), perms.sigma),
+                         fourier_matrix(perms.P), target)
     return _finish(dist, oracle.claimed_y)
 
 
@@ -294,6 +280,8 @@ def sample_shots(result: RunResult, shots: int, seed: int) -> np.ndarray:
     """Multinomial counts per outcome; deterministic for a fixed seed."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     p = result.outcome_distribution
     return rng.multinomial(shots, p / p.sum())

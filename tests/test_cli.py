@@ -165,6 +165,13 @@ def test_bad_gamma_exits_2(capsys):
     assert code == 2
 
 
+def test_negative_seed_exits_2(capsys):
+    code, _, err = run_cli(capsys, "run", "--table", "1", "--column", "0",
+                           "--seed", "-1", "--shots", "5")
+    assert code == 2
+    assert "seed must be non-negative" in err
+
+
 @pytest.mark.parametrize("epsilon", ["inf", "nan"])
 def test_non_finite_epsilon_exits_2(capsys, epsilon):
     with warnings.catch_warnings(record=True) as caught:
@@ -229,6 +236,17 @@ def test_oracle_file_for_run(capsys, tmp_path):
     env = run_json(capsys, "run", "--table", str(path), "--column", "1")
     assert env["results"]["decoded_y"] == 1
     assert env["results"]["success_probability"] == 1.0
+
+
+def test_oracle_file_with_out_of_range_column_exits_2(capsys, tmp_path):
+    z = np.array([[1, 0], [0, -1]], dtype=complex)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    oracle = [{"name": n, "matrix": as_pairs(m)} for n, m in (("Z", z), ("X", x)) * 2]
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(oracle))
+    code, _, err = run_cli(capsys, "run", "--table", str(path), "--column", "9")
+    assert code == 2
+    assert "claimed column 9 out of range for P = 4" in err
 
 
 def test_witness_components_file(capsys, tmp_path):

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion without numpy warnings."""
+"""Each demo script runs to completion without numpy warnings, and every name
+the package exports resolves."""
 import os
 import subprocess
 import sys
@@ -19,3 +20,14 @@ def test_demo_runs_cleanly(demo):
                           env=env, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_public_names_resolve():
+    import switchlab
+    names = switchlab.__all__
+    assert len(names) == len(set(names))
+    missing = [n for n in names if not hasattr(switchlab, n)]
+    assert not missing
+    namespace: dict = {}
+    exec("from switchlab import *", namespace)
+    assert set(names) <= set(namespace)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from switchlab import (OracleSet, PermutationSet, SIGMA_STAR, all_products,
+from switchlab import (LabeledSpace, OracleSet, PermutationSet, SIGMA_STAR, all_products,
                        ancilla_factor, apply_n_switch, attack_combined,
                        attack_table1, attack_table2, basis_state,
                        build_fixed_circuit, chart_fixture, embed_sequence,
-                       kron_all, pauli, random_state, scs,
+                       kron_all, partial_trace, pauli, random_state, scs,
                        simulate_fixed_circuit, switch_equivalence_fidelity)
 from switchlab.gates import NamedGate
 from switchlab.linalg import random_unitary
@@ -123,6 +125,31 @@ def test_circuit_matches_switch_on_random_inputs(star_circuit, nine_letter_circu
             f = switch_equivalence_fidelity(circuit, orc,
                                             random_state(4, rng), random_state(2, rng))
             assert f >= 1 - 1e-10
+
+
+def dense_fidelity(circuit, orc, control, psi):
+    """<ref| Tr_ancillas |J><J| |ref> from the dense joint density matrix."""
+    joint = simulate_fixed_circuit(circuit, orc, control, psi)
+    p, d = circuit.perms.P, orc.dim
+    ancillas = [LabeledSpace(f"anc{i}", d) for i in range(orc.N)]
+    spaces = [LabeledSpace("ctrl", p), LabeledSpace("target", d)] + ancillas
+    rho = partial_trace(np.outer(joint, joint.conj()), spaces, {s.label for s in ancillas})
+    reference = apply_n_switch(control, psi, orc, circuit.perms)
+    return float(np.real(reference.conj() @ rho @ reference))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sequence=st.sampled_from(["ACBADACDB", None]))
+def test_fidelity_is_one_and_matches_dense_trace(seed, sequence):
+    # Haar-random gates satisfy no promise, so only the circuit itself is tested
+    embedding = scs(SIGMA_STAR) if sequence is None else embed_sequence(sequence, SIGMA_STAR)
+    circuit = build_fixed_circuit(embedding, SIGMA_STAR)
+    rng = np.random.default_rng(seed)
+    orc = random_oracle(rng)
+    control, psi = random_state(4, rng), random_state(2, rng)
+    f = switch_equivalence_fidelity(circuit, orc, control, psi)
+    assert abs(f - 1.0) <= 1e-10
+    assert abs(f - dense_fidelity(circuit, orc, control, psi)) <= 1e-12
 
 
 def test_output_is_product_across_system_ancilla_cut(star_circuit):

@@ -5,40 +5,11 @@ from numpy.testing import assert_allclose
 from switchlab import linalg
 from switchlab.linalg import (LabeledSpace, choi_vector, fidelity, kron_all,
                               partial_trace, random_state, random_unitary,
-                              reorder_matrix, reorder_vector, tensor_product,
-                              trace_out_pure)
+                              reorder_matrix, reorder_vector)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def test_tensor_product_identity():
-    assert_allclose(tensor_product(I2, I2), np.eye(4))
-
-
-def test_tensor_product_block_structure():
-    zx = tensor_product(Z, X)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[:2, :2] = X
-    expected[2:, 2:] = -X
-    assert_allclose(zx, expected)
-
-
-def test_tensor_product_mixed_product_rule():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        a, b, c, d = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                      for _ in range(4))
-        assert_allclose(tensor_product(a, b) @ tensor_product(c, d),
-                        tensor_product(a @ c, b @ d), atol=1e-12)
-
-
-def test_tensor_product_associative():
-    rng = np.random.default_rng(1)
-    a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))
-    assert_allclose(tensor_product(tensor_product(a, b), c),
-                    tensor_product(a, tensor_product(b, c)))
 
 
 def test_partial_trace_product_state():
@@ -46,7 +17,7 @@ def test_partial_trace_product_state():
     rho_a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho_b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     spaces = [LabeledSpace("A", 2), LabeledSpace("B", 3)]
-    out = partial_trace(tensor_product(rho_a, rho_b), spaces, {"B"})
+    out = partial_trace(np.kron(rho_a, rho_b), spaces, {"B"})
     assert_allclose(out, rho_a * np.trace(rho_b), atol=1e-12)
 
 
@@ -81,14 +52,6 @@ def test_partial_trace_rejects_bad_inputs():
         partial_trace(np.eye(4), spaces, {"nope"})
     with pytest.raises(ValueError, match="does not match"):
         partial_trace(np.eye(5), spaces, {"a"})
-
-
-def test_trace_out_pure_matches_dense():
-    rng = np.random.default_rng(5)
-    spaces = [LabeledSpace("a", 2), LabeledSpace("b", 3), LabeledSpace("c", 2)]
-    v = random_state(12, rng)
-    dense = partial_trace(np.outer(v, v.conj()), spaces, {"b"})
-    assert_allclose(trace_out_pure(v, spaces, {"b"}), dense, atol=1e-12)
 
 
 def test_choi_vector_values():

@@ -14,8 +14,7 @@ from switchlab import (NoiseModel, OracleSet, PermutationSet, SIGMA_STAR,
                        sylvester_hadamard)
 from switchlab.gates import NamedGate
 from switchlab.linalg import random_unitary
-from switchlab.switch import (_distribution_dephased, _distribution_pure,
-                              _ordering_products)
+from switchlab.switch import _distribution, _ordering_products, _overrotation
 
 
 def oracle_of(*names):
@@ -213,6 +212,31 @@ def test_single_ordering_is_trivially_decoded():
     assert res.outcome_distribution.shape == (1,)
 
 
+def test_claimed_column_must_index_an_outcome(m4):
+    orc = OracleSet(tuple(pauli(n) for n in ("Z", "X", "Z", "X")), claimed_y=9)
+    with pytest.raises(ValueError, match="claimed column 9 out of range for P = 4"):
+        run_hadamard_algorithm(orc, SIGMA_STAR, m4, basis_state(2, 0))
+    perms = PermutationSet.from_strings(["AB", "BA"])
+    with pytest.raises(ValueError, match="claimed column 2 out of range for P = 2"):
+        run_fourier_algorithm(OracleSet((pauli("Z"), pauli("X")), claimed_y=2), perms,
+                              basis_state(2, 0))
+
+
+def test_decode_input_checks(m4):
+    orc = oracle_of("Z", "X", "Z", "X")
+    with pytest.raises(ValueError, match="oracle size"):
+        run_hadamard_algorithm(oracle_of("Z", "X", "Z"), SIGMA_STAR, m4, basis_state(2, 0))
+    with pytest.raises(ValueError, match="target dimension"):
+        run_hadamard_algorithm(orc, SIGMA_STAR, m4, basis_state(3, 0))
+    qutrits = OracleSet(tuple(NamedGate(f"T{i}", np.eye(3)) for i in range(4)))
+    with pytest.raises(ValueError, match="qubit targets only"):
+        run_hadamard_algorithm(qutrits, SIGMA_STAR, m4, basis_state(3, 0))
+    with pytest.raises(ValueError, match="oracle size"):
+        run_fourier_algorithm(oracle_of("Z", "X", "Z"), SIGMA_STAR, basis_state(2, 0))
+    with pytest.raises(ValueError, match="target dimension"):
+        run_fourier_algorithm(orc, SIGMA_STAR, basis_state(4, 0))
+
+
 def test_success_probability_requires_claimed_column(m4):
     orc = OracleSet(tuple(pauli(n) for n in ("Z", "X", "Z", "X")))  # no claimed_y
     res = run_hadamard_algorithm(orc, SIGMA_STAR, m4, basis_state(2, 0))
@@ -285,7 +309,6 @@ def test_noise_model_validation():
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="epsilon"):
             NoiseModel(epsilon=bad)
-    assert NoiseModel().is_trivial
 
 
 def test_trivial_noise_reproduces_ideal_exactly(m4):
@@ -296,14 +319,61 @@ def test_trivial_noise_reproduces_ideal_exactly(m4):
     assert np.array_equal(ideal.outcome_distribution, noisy.outcome_distribution)
 
 
-def test_dephased_evolution_matches_pure_at_gamma_zero(m4):
-    rng = np.random.default_rng(7)
-    fix = chart_fixture("table2")[1]
+def reference_dephased(pis, u_ctrl, target, gamma):
+    """Rank-4 reference: the full (control x target) density matrix with
+    control coherences scaled by 1 - gamma, rotated by u_ctrl^-1, then the
+    diagonal of the control marginal."""
+    p = u_ctrl.shape[0]
+    joint = u_ctrl[:, 0][:, None] * np.einsum("xij,j->xi", pis, target)
+    rho = np.einsum("xi,yj->xiyj", joint, joint.conj())
+    rho = rho * ((1.0 - gamma) + gamma * np.eye(p))[:, None, :, None]
+    uinv = u_ctrl.conj().T
+    rho = np.einsum("ax,xiyj,by->aibj", uinv, rho, uinv.conj())
+    return np.einsum("xixi->x", rho).real
+
+
+DECODE_SETUPS = [
+    (SIGMA_STAR, hadamard_m4()),
+    (PermutationSet.from_strings(["ABC", "CAB"]), sylvester_hadamard(1)),
+    (PermutationSet.from_strings(["ABCD"]), sylvester_hadamard(0)),
+]
+
+
+def haar_oracle(n, rng):
+    return OracleSet(tuple(NamedGate(f"U{i}", random_unitary(2, rng)) for i in range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=st.sampled_from(DECODE_SETUPS), seed=st.integers(0, 2**32 - 1),
+       gamma=st.floats(0.0, 1.0), epsilon=st.floats(-0.5, 0.5))
+def test_decode_matches_rank4_reference(setup, seed, gamma, epsilon):
+    perms, m = setup
+    rng = np.random.default_rng(seed)
+    orc = haar_oracle(perms.N, rng)
     psi = random_state(2, rng)
-    pis = all_products(fix, SIGMA_STAR)
-    h = m4.as_gate()
-    assert_allclose(_distribution_dephased(pis, h, psi, 0.0),
-                    _distribution_pure(pis, h, psi), atol=1e-12)
+    h = m.as_gate()
+    tilted = _overrotation(epsilon) @ orc.matrices()
+    pis = fold_products(tilted, perms.sigma)
+    expected = reference_dephased(pis, h, psi, gamma)
+    assert_allclose(_distribution(pis, h, psi, gamma), expected, atol=1e-12)
+    res = run_hadamard_algorithm(orc, perms, m, psi, NoiseModel(gamma, epsilon))
+    assert_allclose(res.outcome_distribution, expected, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=st.sampled_from(DECODE_SETUPS), seed=st.integers(0, 2**32 - 1),
+       gamma=st.floats(0.0, 1.0), epsilon=st.floats(-0.5, 0.5))
+def test_decode_is_affine_in_gamma(setup, seed, gamma, epsilon):
+    perms, m = setup
+    rng = np.random.default_rng(seed)
+    orc = haar_oracle(perms.N, rng)
+    psi = random_state(2, rng)
+
+    def dist(g):
+        noise = NoiseModel(g, epsilon)
+        return run_hadamard_algorithm(orc, perms, m, psi, noise).outcome_distribution
+
+    assert_allclose(dist(gamma), (1 - gamma) * dist(0.0) + gamma * dist(1.0), atol=1e-12)
 
 
 def test_success_nonincreasing_in_gamma(m4):
@@ -358,3 +428,9 @@ def test_sampling_deterministic(m4):
     b = sample_shots(res, 6000, seed=7)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, sample_shots(res, 6000, seed=8))
+
+
+def test_sampling_rejects_negative_seed(m4):
+    res = run_hadamard_algorithm(chart_fixture("table1")[0], SIGMA_STAR, m4, basis_state(2, 0))
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        sample_shots(res, 5, seed=-1)
