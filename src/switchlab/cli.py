@@ -107,7 +107,7 @@ def resolve_matrix(spec: str, p: int) -> SignMatrix:
     return load_matrix_file(spec)
 
 
-def resolve_oracle(table: str, column: int) -> OracleSet:
+def resolve_oracle(table: str, column: int, p: int) -> OracleSet:
     if table == "thirty":
         fixtures = chart_fixture("thirty")
         if not 0 <= column < len(fixtures):
@@ -124,6 +124,8 @@ def resolve_oracle(table: str, column: int) -> OracleSet:
         gates = _gates_from_entries(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed oracle file {table!r}: {exc}") from exc
+    if column >= p:
+        raise UsageError(f"claimed column {column} out of range for P = {p}")
     return OracleSet(gates, claimed_y=column)
 
 
@@ -177,8 +179,8 @@ def cmd_enumerate(args) -> dict:
 
 
 def cmd_run(args) -> dict:
-    oracle = resolve_oracle(args.table, args.column)
     perms = resolve_perms(args.perms)
+    oracle = resolve_oracle(args.table, args.column, perms.P)
     matrix = resolve_matrix(args.matrix, perms.P)
     noise = NoiseModel(gamma=args.gamma, epsilon=args.epsilon,
                        seed=args.seed if args.seed is not None else 0)
@@ -188,7 +190,7 @@ def cmd_run(args) -> dict:
         "decoded_y": result.decoded_y,
         "success_probability": round(float(result.success_probability), 12),
     }
-    if args.shots:
+    if args.shots is not None:
         seed = args.seed if args.seed is not None else noise.seed
         counts = sample_shots(result, args.shots, seed)
         out["histogram"] = [int(c) for c in counts]
@@ -197,8 +199,8 @@ def cmd_run(args) -> dict:
 
 
 def cmd_circuit(args) -> dict:
-    oracle = resolve_oracle(args.table, args.column)
     perms = resolve_perms(args.perms)
+    oracle = resolve_oracle(args.table, args.column, perms.P)
     superseq = scs(perms)
     circuit = build_fixed_circuit(superseq, perms)
     control = np.full(perms.P, 1.0 / np.sqrt(perms.P), dtype=complex)
@@ -341,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default="M4")
     p.add_argument("--gamma", type=float, default=0.0, help="control dephasing in [0,1]")
     p.add_argument("--epsilon", type=float, default=0.0, help="gate overrotation (radians)")
-    p.add_argument("--shots", type=int, default=0, help="sample a finite histogram")
+    p.add_argument("--shots", type=int, default=None, help="sample a finite histogram")
     p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(handler=cmd_run)

@@ -13,13 +13,14 @@ and identify the hidden column with a handful of exact projective tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import InvariantViolation, as_state, basis_state, kron_all
 from .oracles import chart_fixture
 from .supersequences import SupersequenceResult
-from .switch import _LABELS, OracleSet, PermutationSet, apply_n_switch
+from .switch import _LABELS, OracleSet, PermutationSet, _branch_rows, _ordering_products
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,16 @@ class FixedOrderCircuit:
     @property
     def query_count(self) -> int:
         return len(self.supersequence)
+
+    @cached_property
+    def wires(self) -> np.ndarray:
+        """Read-only wire plan of shape (steps, P): ``wires[s, x]`` is 0 when
+        step s acts on the target in branch x, else 1 + i for the ancilla of
+        the step's gate i."""
+        symbols = np.array(self.symbols)[:, None]
+        wires = np.where(np.array(self.usage, dtype=bool), 0, 1 + symbols)
+        wires.flags.writeable = False
+        return wires
 
 
 def build_fixed_circuit(superseq: SupersequenceResult, perms: PermutationSet) -> FixedOrderCircuit:
@@ -56,77 +67,87 @@ def build_fixed_circuit(superseq: SupersequenceResult, perms: PermutationSet) ->
 
 
 def _check_circuit(circuit: FixedOrderCircuit) -> None:
-    n, p = circuit.perms.N, circuit.perms.P
-    occurrences = [circuit.symbols.count(i) for i in range(n)]
-    for x in range(p):
-        spelled = [circuit.symbols[s] for s in range(circuit.query_count)
-                   if circuit.usage[s][x]]
-        if tuple(spelled) != circuit.perms.sigma[x]:
+    """The wire plan spells every ordering on the target.  Every other step
+    parks its gate, so each branch then parks gate i (occurrences - 1) times
+    and the ancillas end in the same state in every branch."""
+    symbols = np.array(circuit.symbols)
+    for x, ordering in enumerate(circuit.perms.sigma):
+        if tuple(symbols[circuit.wires[:, x] == 0]) != ordering:
             raise InvariantViolation(f"target steps of branch {x} do not spell its ordering")
-        for i in range(n):
-            idle = sum(1 for s in range(circuit.query_count)
-                       if circuit.symbols[s] == i and not circuit.usage[s][x])
-            if idle != occurrences[i] - 1:
-                raise InvariantViolation(
-                    f"branch {x} parks gate {_LABELS[i]} {idle} times, expected {occurrences[i] - 1}"
-                )
+
+
+def _checked_states(circuit: FixedOrderCircuit, oracle: OracleSet,
+                    control: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    control = as_state(control)
+    target = as_state(target)
+    if control.size != circuit.perms.P:
+        raise ValueError(f"control dimension {control.size} != P={circuit.perms.P}")
+    if target.size != oracle.dim or oracle.N != circuit.perms.N:
+        raise ValueError("oracle does not match the circuit")
+    return control, target
+
+
+def _joint_states(circuit: FixedOrderCircuit, mats: np.ndarray,
+                  control: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Circuit output for oracle stacks ``mats[S, N, d, d]``, shape
+    ``[S, P, d ** (N + 1)]``, every control branch simulated at once.
+
+    ``wires[S, P, N + 1, d]`` holds the target and one ancilla per gate label
+    (starting in |0>) of every branch; each step gathers the wire its gate
+    acts on in each branch, applies the gate and scatters the result back.
+    """
+    n_sets, n, d = mats.shape[0], mats.shape[1], mats.shape[-1]
+    p = control.size
+    wires = np.zeros((n_sets, p, n + 1, d), dtype=complex)
+    wires[:, :, 0] = target
+    wires[:, :, 1:, 0] = 1.0
+    branches = np.arange(p)
+    gates_t = mats.swapaxes(-1, -2)    # v @ U^T applies U to the row vectors v
+    for i, w in zip(circuit.symbols, circuit.wires):
+        wires[:, branches, w] = wires[:, branches, w] @ gates_t[:, i]
+    joint = wires[:, :, 0]
+    for k in range(1, n + 1):   # target (x) ancilla_A (x) ... (x) ancilla_N, first slowest
+        joint = (joint[..., :, None] * wires[:, :, k, None, :]).reshape(n_sets, p, -1)
+    return control[:, None] * joint
 
 
 def simulate_fixed_circuit(circuit: FixedOrderCircuit, oracle: OracleSet,
                            control: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Joint state over control (x) target (x) ancilla_A ... ancilla_N.
 
-    Each control branch evolves deterministically per the usage plan; one
+    Each control branch evolves deterministically per the wire plan; one
     ancilla per gate label starts in |0>.
     """
-    control = as_state(control)
-    target = as_state(target)
-    n, p = circuit.perms.N, circuit.perms.P
-    if control.size != p:
-        raise ValueError(f"control dimension {control.size} != P={p}")
-    d = oracle.dim
-    if target.size != d or oracle.N != n:
-        raise ValueError("oracle does not match the circuit")
-    mats = oracle.matrices()
-    anc_dim = d ** n
-    out = np.zeros((p, d * anc_dim), dtype=complex)
-    for x in range(p):
-        targ = target.copy()
-        ancs = [basis_state(d, 0) for _ in range(n)]
-        for s, i in enumerate(circuit.symbols):
-            if circuit.usage[s][x]:
-                targ = mats[i] @ targ
-            else:
-                ancs[i] = mats[i] @ ancs[i]
-        out[x] = control[x] * kron_all([targ] + ancs)
-    return out.reshape(-1)
+    control, target = _checked_states(circuit, oracle, control, target)
+    return _joint_states(circuit, oracle.matrices()[None], control, target).reshape(-1)
 
 
 def ancilla_factor(circuit: FixedOrderCircuit, oracle: OracleSet) -> np.ndarray:
     """Product state collected by the ancillas, identical for every branch:
     gate i hits its ancilla (occurrences of i) - 1 times."""
-    mats = oracle.matrices()
-    d = oracle.dim
-    factors = []
-    for i in range(circuit.perms.N):
-        reps = circuit.symbols.count(i) - 1
-        v = basis_state(d, 0)
-        for _ in range(reps):
-            v = mats[i] @ v
-        factors.append(v)
-    return kron_all(factors)
+    zero = basis_state(oracle.dim, 0)
+    return kron_all([np.linalg.matrix_power(u, circuit.symbols.count(i) - 1) @ zero
+                     for i, u in enumerate(oracle.matrices())])
+
+
+def _fidelities(circuit: FixedOrderCircuit, mats: np.ndarray,
+                control: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Switch-equivalence fidelities for oracle stacks ``mats[S, N, d, d]``, shape [S]."""
+    joint = _joint_states(circuit, mats, control, target)
+    reference = _branch_rows(_ordering_products(mats, circuit.perms.index), control, target[None])
+    # the ancillas are the trailing factors: with J the joint state as a
+    # (control, target) x ancillas matrix, the reduced state is J J^dagger
+    n_sets, size = len(mats), reference[0].size
+    overlap = reference.reshape(n_sets, 1, size).conj() @ joint.reshape(n_sets, size, -1)
+    return (overlap.real ** 2 + overlap.imag ** 2).sum(axis=(1, 2))
 
 
 def switch_equivalence_fidelity(circuit: FixedOrderCircuit, oracle: OracleSet,
                                 control: np.ndarray, target: np.ndarray) -> float:
     """Overlap of the ancilla-reduced circuit output with the direct
     controlled-ordering evolution; 1 up to rounding for any valid circuit."""
-    joint = simulate_fixed_circuit(circuit, oracle, control, target)
-    reference = apply_n_switch(control, target, oracle, circuit.perms)
-    # the ancillas are the trailing factors: with J the joint state as a
-    # (control, target) x ancillas matrix, the reduced state is J J^dagger
-    overlap = reference.conj() @ joint.reshape(reference.size, -1)
-    return float(np.vdot(overlap, overlap).real)
+    control, target = _checked_states(circuit, oracle, control, target)
+    return float(_fidelities(circuit, oracle.matrices()[None], control, target)[0])
 
 
 # ---------------------------------------------------------------------------

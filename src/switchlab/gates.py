@@ -88,16 +88,18 @@ class SignMatrix:
             raise ValueError("sign matrix rows are not exactly orthogonal")
         if not (np.all(e[0] == 1) and np.all(e[:, 0] == 1)):
             raise ValueError("first row and column must be all +1")
-        e.flags.writeable = False
+        gate = e.astype(complex) / np.sqrt(p)
+        e.flags.writeable = gate.flags.writeable = False
         object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "_gate", gate)
 
     @property
     def P(self) -> int:
         return self.entries.shape[0]
 
     def as_gate(self) -> np.ndarray:
-        """The unitary entries/sqrt(P) acting on the control register."""
-        return self.entries.astype(complex) / np.sqrt(self.P)
+        """The unitary entries/sqrt(P) acting on the control register (read-only)."""
+        return self._gate
 
     def as_gate_inverse(self) -> np.ndarray:
         return self.entries.T.astype(complex) / np.sqrt(self.P)

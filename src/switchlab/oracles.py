@@ -89,7 +89,7 @@ def enumerate_promise_sets(gates, perms: PermutationSet, m: SignMatrix,
     sets: list[OracleSet] = []
     for start in range(0, len(combos), _CHUNK):
         q = combos[start:start + _CHUNK]
-        ok = _promise_residuals(_ordering_products(mats[q], perms.sigma), signs) <= tol
+        ok = _promise_residuals(_ordering_products(mats[q], perms.index), signs) <= tol
         for c in np.flatnonzero(ok.any(axis=1)):
             y = int(np.argmax(ok[c]))   # smallest satisfied column
             counts[y] += 1

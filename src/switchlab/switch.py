@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +29,8 @@ _LABELS = "ABCDEFGH"
 @dataclass(frozen=True)
 class PermutationSet:
     """P orderings of N gate labels; sigma[x][j] is the j-th gate applied in
-    ordering x.  The first ordering is the identity and defines the reference
-    product."""
+    ordering x, and ``index`` holds sigma as a read-only (P, N) int array.
+    The first ordering is the identity and defines the reference product."""
 
     sigma: tuple[tuple[int, ...], ...]
 
@@ -51,6 +52,8 @@ class PermutationSet:
             # published fixtures never do.
             raise ValueError("the first ordering must be the identity")
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "index", np.array(sigma, dtype=np.intp))
+        self.index.flags.writeable = False
 
     @property
     def N(self) -> int:
@@ -109,7 +112,14 @@ class OracleSet:
         return self.gates[0].dim
 
     def matrices(self) -> np.ndarray:
-        return np.stack([g.matrix for g in self.gates])
+        """The gates as one read-only stack of shape (N, d, d), built on first use."""
+        return self._stack
+
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        stack = np.array([g.matrix for g in self.gates])
+        stack.flags.writeable = False
+        return stack
 
     def names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.gates)
@@ -150,11 +160,11 @@ class RunResult:
 
     def __post_init__(self):
         p = np.asarray(self.outcome_distribution, dtype=float)
-        if np.min(p) < -1e-9:
+        if p.min() < -1e-9:
             raise ValueError("negative outcome probability")
         if abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("outcome probabilities must sum to 1")
-        p = np.clip(p, 0.0, None)
+        p = np.maximum(p, 0.0)
         p.flags.writeable = False
         object.__setattr__(self, "outcome_distribution", p)
 
@@ -174,12 +184,13 @@ def all_products(oracle: OracleSet, perms: PermutationSet) -> np.ndarray:
     """Stack of the P ordering products, shape (P, d, d)."""
     if oracle.N != perms.N:
         raise ValueError("oracle size does not match the permutation set")
-    return _ordering_products(oracle.matrices(), perms.sigma)
+    return _ordering_products(oracle.matrices(), perms.index)
 
 
-def _branch_rows(pis: np.ndarray, amplitudes: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Rows amplitudes[x] * Pi_x |target>: the joint state, one control value per row."""
-    return amplitudes[:, None] * np.einsum("xij,j->xi", pis, target)
+def _branch_rows(pis: np.ndarray, amplitudes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Rows amplitudes[x] * Pi_x |t> for products ``pis[..., P, d, d]`` and
+    targets ``[T, d]``: one joint state per target, shape ``[..., T, P, d]``."""
+    return amplitudes[:, None] * (targets @ pis.swapaxes(-1, -2)).swapaxes(-2, -3)
 
 
 def apply_n_switch(control: np.ndarray, target: np.ndarray,
@@ -192,19 +203,20 @@ def apply_n_switch(control: np.ndarray, target: np.ndarray,
         raise ValueError(f"control dimension {control.size} != P={perms.P}")
     if target.size != oracle.dim:
         raise ValueError("target dimension does not match the oracle gates")
-    return _branch_rows(all_products(oracle, perms), control, target).reshape(-1)
+    return _branch_rows(all_products(oracle, perms), control, target[None]).reshape(-1)
 
 
-def _distribution(pis: np.ndarray, u_ctrl: np.ndarray, target: np.ndarray,
+def _distribution(pis: np.ndarray, u_ctrl: np.ndarray, targets: np.ndarray,
                   gamma: float = 0.0) -> np.ndarray:
-    """Control readout distribution of u_ctrl^-1 . switch . u_ctrl on
-    |0>|target>, with the post-switch control coherences scaled by 1 - gamma."""
-    joint = _branch_rows(pis, u_ctrl[:, 0], target)
-    rho = joint @ joint.conj().T  # control block, target traced out
+    """Control readout distributions of u_ctrl^-1 . switch . u_ctrl on
+    |0>|t>, with the post-switch control coherences scaled by 1 - gamma, for
+    products ``pis[..., P, d, d]`` and targets ``[T, d]``; shape ``[..., T, P]``."""
+    joint = _branch_rows(pis, u_ctrl[:, 0], targets)
+    rho = joint @ joint.conj().swapaxes(-1, -2)  # control blocks, target traced out
     if gamma != 0.0:
-        rho = rho * ((1.0 - gamma) + gamma * np.eye(len(rho)))
+        rho = rho * ((1.0 - gamma) + gamma * np.eye(rho.shape[-1]))
     uinv = u_ctrl.conj().T
-    return np.einsum("ax,xy,ay->a", uinv, rho, uinv.conj()).real
+    return ((uinv @ rho) * uinv.conj()).sum(axis=-1).real
 
 
 def _overrotation(epsilon: float) -> np.ndarray:
@@ -226,11 +238,11 @@ def _checked_target(oracle: OracleSet, perms: PermutationSet, target_state) -> n
 
 
 def _finish(dist: np.ndarray, claimed_y: int | None) -> RunResult:
-    dist = np.clip(dist, 0.0, None)
+    """Normalize a raw distribution; RunResult checks it and clips rounding
+    negatives, which cannot win the argmax of a distribution summing to 1."""
     dist = dist / dist.sum()
-    decoded = int(np.argmax(dist))  # ties break to the lowest index
-    success = float(dist[claimed_y]) if claimed_y is not None else None
-    return RunResult(dist, decoded, success)
+    success = max(float(dist[claimed_y]), 0.0) if claimed_y is not None else None
+    return RunResult(dist, int(dist.argmax()), success)  # ties break to the lowest index
 
 
 def run_hadamard_algorithm(oracle: OracleSet, perms: PermutationSet, m: SignMatrix,
@@ -248,9 +260,9 @@ def run_hadamard_algorithm(oracle: OracleSet, perms: PermutationSet, m: SignMatr
     mats = oracle.matrices()
     if noise.epsilon != 0.0:
         mats = _overrotation(noise.epsilon) @ mats
-    dist = _distribution(_ordering_products(mats, perms.sigma), m.as_gate(), target,
+    dist = _distribution(_ordering_products(mats, perms.index), m.as_gate(), target[None],
                          noise.gamma)
-    return _finish(dist, oracle.claimed_y)
+    return _finish(dist[0], oracle.claimed_y)
 
 
 def run_fourier_algorithm(oracle: OracleSet, perms: PermutationSet,
@@ -259,9 +271,9 @@ def run_fourier_algorithm(oracle: OracleSet, perms: PermutationSet,
     promised exponent when the orderings differ by powers of exp(2 pi i/P);
     the promise itself forces target dimension >= P."""
     target = _checked_target(oracle, perms, target_state)
-    dist = _distribution(_ordering_products(oracle.matrices(), perms.sigma),
-                         fourier_matrix(perms.P), target)
-    return _finish(dist, oracle.claimed_y)
+    dist = _distribution(_ordering_products(oracle.matrices(), perms.index),
+                         fourier_matrix(perms.P), target[None])
+    return _finish(dist[0], oracle.claimed_y)
 
 
 def dimension_constraint_ok(problem: str, d: int, p: int) -> bool:

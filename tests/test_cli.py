@@ -159,6 +159,12 @@ def test_bad_column_exits_2(capsys):
     assert "column" in err
 
 
+def test_zero_shots_exits_2(capsys):
+    code, out, err = run_cli(capsys, "run", "--table", "1", "--column", "0", "--shots", "0")
+    assert code == 2 and not out
+    assert "shots must be at least 1" in err
+
+
 def test_bad_gamma_exits_2(capsys):
     code, _, err = run_cli(capsys, "run", "--table", "1", "--column", "0",
                            "--gamma", "1.5")
@@ -238,15 +244,27 @@ def test_oracle_file_for_run(capsys, tmp_path):
     assert env["results"]["success_probability"] == 1.0
 
 
-def test_oracle_file_with_out_of_range_column_exits_2(capsys, tmp_path):
+def zx_oracle_file(tmp_path):
     z = np.array([[1, 0], [0, -1]], dtype=complex)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     oracle = [{"name": n, "matrix": as_pairs(m)} for n, m in (("Z", z), ("X", x)) * 2]
     path = tmp_path / "oracle.json"
     path.write_text(json.dumps(oracle))
-    code, _, err = run_cli(capsys, "run", "--table", str(path), "--column", "9")
+    return str(path)
+
+
+def test_oracle_file_with_out_of_range_column_exits_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "run", "--table", zx_oracle_file(tmp_path), "--column", "9")
     assert code == 2
     assert "claimed column 9 out of range for P = 4" in err
+
+
+def test_circuit_rejects_out_of_range_column(capsys, tmp_path):
+    path = zx_oracle_file(tmp_path)
+    code, out, err = run_cli(capsys, "circuit", "--table", path, "--column", "9")
+    assert code == 2 and not out
+    assert "claimed column 9 out of range for P = 4" in err
+    assert run_json(capsys, "circuit", "--table", path, "--column", "3")["results"]["fidelity"] == 1.0
 
 
 def test_witness_components_file(capsys, tmp_path):

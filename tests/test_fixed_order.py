@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,9 @@ from switchlab import (LabeledSpace, OracleSet, PermutationSet, SIGMA_STAR, all_
                        build_fixed_circuit, chart_fixture, embed_sequence,
                        kron_all, partial_trace, pauli, random_state, scs,
                        simulate_fixed_circuit, switch_equivalence_fidelity)
+from switchlab.fixed_order import FixedOrderCircuit, _check_circuit, _fidelities, _joint_states
 from switchlab.gates import NamedGate
-from switchlab.linalg import random_unitary
+from switchlab.linalg import InvariantViolation, random_unitary
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +153,66 @@ def test_fidelity_is_one_and_matches_dense_trace(seed, sequence):
     f = switch_equivalence_fidelity(circuit, orc, control, psi)
     assert abs(f - 1.0) <= 1e-10
     assert abs(f - dense_fidelity(circuit, orc, control, psi)) <= 1e-12
+
+
+def per_branch_simulation(circuit, orc, control, target):
+    """Reference: each branch on its own, the joint state as a Kronecker
+    product of the target and the ancillas."""
+    mats = orc.matrices()
+    rows = []
+    for x in range(circuit.perms.P):
+        targ = target.copy()
+        ancs = [basis_state(orc.dim, 0) for _ in range(orc.N)]
+        for s, i in enumerate(circuit.symbols):
+            if circuit.usage[s][x]:
+                targ = mats[i] @ targ
+            else:
+                ancs[i] = mats[i] @ ancs[i]
+        rows.append(control[x] * kron_all([targ] + ancs))
+    return np.stack(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), p=st.integers(2, 5),
+       n_sets=st.integers(1, 3))
+def test_branch_batched_simulation_matches_per_branch_loop(seed, n, p, n_sets):
+    rng = np.random.default_rng(seed)
+    rows = [tuple(range(n))]
+    while len(rows) < min(p, math.factorial(n)):
+        row = tuple(int(j) for j in rng.permutation(n))
+        if row not in rows:
+            rows.append(row)
+    perms = PermutationSet(rows)
+    circuit = build_fixed_circuit(scs(perms), perms)
+    oracles = [random_oracle(rng, n) for _ in range(n_sets)]
+    control, psi = random_state(perms.P, rng), random_state(2, rng)
+    mats = np.stack([o.matrices() for o in oracles])
+    batch = _joint_states(circuit, mats, control, psi)
+    fids = _fidelities(circuit, mats, control, psi)
+    for orc, joint, f in zip(oracles, batch, fids):
+        expected = per_branch_simulation(circuit, orc, control, psi)
+        assert np.max(np.abs(joint - expected)) <= 1e-14
+        scalar = simulate_fixed_circuit(circuit, orc, control, psi)
+        assert np.max(np.abs(scalar - expected.reshape(-1))) <= 1e-14
+        assert abs(f - switch_equivalence_fidelity(circuit, orc, control, psi)) <= 1e-14
+
+
+def test_wire_plan(star_circuit):
+    wires = star_circuit.wires
+    assert wires.shape == (9, 4) and not wires.flags.writeable
+    for s, i in enumerate(star_circuit.symbols):
+        for x in range(4):
+            assert wires[s, x] == (0 if star_circuit.usage[s][x] else 1 + i)
+
+
+@pytest.mark.parametrize("step,branch", [(0, 0), (8, 3)])
+def test_check_circuit_rejects_a_broken_plan(star_circuit, step, branch):
+    usage = [list(row) for row in star_circuit.usage]
+    usage[step][branch] = not usage[step][branch]
+    broken = FixedOrderCircuit(star_circuit.supersequence, star_circuit.symbols,
+                               tuple(map(tuple, usage)), SIGMA_STAR)
+    with pytest.raises(InvariantViolation, match="do not spell"):
+        _check_circuit(broken)
 
 
 def test_output_is_product_across_system_ancilla_cut(star_circuit):

@@ -355,7 +355,7 @@ def test_decode_matches_rank4_reference(setup, seed, gamma, epsilon):
     tilted = _overrotation(epsilon) @ orc.matrices()
     pis = fold_products(tilted, perms.sigma)
     expected = reference_dephased(pis, h, psi, gamma)
-    assert_allclose(_distribution(pis, h, psi, gamma), expected, atol=1e-12)
+    assert_allclose(_distribution(pis, h, psi[None], gamma)[0], expected, atol=1e-12)
     res = run_hadamard_algorithm(orc, perms, m, psi, NoiseModel(gamma, epsilon))
     assert_allclose(res.outcome_distribution, expected, atol=1e-12)
 
@@ -374,6 +374,52 @@ def test_decode_is_affine_in_gamma(setup, seed, gamma, epsilon):
         return run_hadamard_algorithm(orc, perms, m, psi, noise).outcome_distribution
 
     assert_allclose(dist(gamma), (1 - gamma) * dist(0.0) + gamma * dist(1.0), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=st.sampled_from(DECODE_SETUPS[:2]), seed=st.integers(0, 2**32 - 1),
+       gamma=st.floats(0.0, 1.0), epsilon=st.floats(-0.5, 0.5))
+def test_qubit_sign_matrix_decode_ignores_the_target(setup, seed, gamma, epsilon):
+    # H_P and the control amplitudes are real, so only Re<psi|Pi_y^dag Pi_x|psi>
+    # enters; Pi_y^dag Pi_x is in SU(2), where that is Tr/2 for every psi
+    perms, m = setup
+    rng = np.random.default_rng(seed)
+    orc = haar_oracle(perms.N, rng)
+    noise = NoiseModel(gamma, epsilon)
+    a, b = (run_hadamard_algorithm(orc, perms, m, random_state(2, rng), noise)
+            for _ in range(2))
+    assert_allclose(a.outcome_distribution, b.outcome_distribution, atol=1e-12)
+
+
+def test_fourier_decode_depends_on_the_target():
+    # with d >= P the Fourier readout sees the target, so the batched decode
+    # keeps a target axis
+    perms = PermutationSet([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        orc = OracleSet(tuple(NamedGate(f"U{i}", random_unitary(3, rng)) for i in range(3)))
+        a, b = (run_fourier_algorithm(orc, perms, random_state(3, rng)).outcome_distribution
+                for _ in range(2))
+        assert np.max(np.abs(a - b)) > 1e-3
+
+
+@settings(max_examples=40, deadline=None)
+@given(setup=st.sampled_from(DECODE_SETUPS[:2]), seed=st.integers(0, 2**32 - 1),
+       n_sets=st.integers(1, 5), n_targets=st.integers(1, 4),
+       gamma=st.floats(0.0, 1.0), epsilon=st.floats(-0.5, 0.5))
+def test_batched_decode_equals_scalar_calls(setup, seed, n_sets, n_targets, gamma, epsilon):
+    perms, m = setup
+    rng = np.random.default_rng(seed)
+    oracles = [haar_oracle(perms.N, rng) for _ in range(n_sets)]
+    targets = np.stack([random_state(2, rng) for _ in range(n_targets)])
+    mats = _overrotation(epsilon) @ np.stack([o.matrices() for o in oracles])
+    batch = _distribution(_ordering_products(mats, perms.index), m.as_gate(), targets, gamma)
+    assert batch.shape == (n_sets, n_targets, perms.P)
+    noise = NoiseModel(gamma, epsilon)
+    for orc, rows in zip(oracles, batch):
+        for psi, row in zip(targets, rows):
+            scalar = run_hadamard_algorithm(orc, perms, m, psi, noise).outcome_distribution
+            assert_allclose(row, scalar, atol=1e-12)
 
 
 def test_success_nonincreasing_in_gamma(m4):
