@@ -27,7 +27,7 @@ from .linalg import InvariantViolation
 from .switch import OracleSet, PermutationSet, _ordering_products, all_products
 
 PROMISE_TOL = 1e-9
-_CHUNK = 4096   # assignments checked per vectorized batch
+_CHUNK = 4096   # assignments, or canonical-form rows, per vectorized batch
 
 
 def _promise_residuals(prods: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -165,29 +165,42 @@ _DEGENERATE = 1e-6      # shorter vectors span no frame axis; |q0| below it mark
 
 _PAULI_VEC = np.stack([pauli(n).matrix for n in "XYZ"])
 _TAU = np.stack([pauli(n).matrix for n in "IXYZ"])
+# flattened u @ _TAU_DUAL = (tr tau_mu u)_mu; with u = c . tau, the Bloch
+# rotation is R_ab = Re sum c_mu c_nu^* tr(sigma_a tau_mu sigma_b tau_nu) / 2
+_TAU_DUAL = _TAU.swapaxes(1, 2).reshape(4, 4).T
+_ROTATION_FORM = np.einsum("aij,mjk,bkl,nli->mnab", _PAULI_VEC, _TAU, _PAULI_VEC,
+                           _TAU).reshape(16, 9) / 2
+# T(tau_e) of _su2_lift is tau_e + sum_jk o[j, k] sigma_j tau_e sigma_k
+_LIFT_FORM = np.einsum("jab,ebc,kcd->jkead", _PAULI_VEC, _TAU, _PAULI_VEC).reshape(9, 16)
+
+
+def _pauli_coefficients(mats: np.ndarray) -> np.ndarray:
+    """Coefficients ``[..., 4]`` of ``mats[..., 2, 2]`` in the basis (I, X, Y, Z)."""
+    return (mats.reshape(-1, 4) @ _TAU_DUAL / 2).reshape(*mats.shape[:-2], 4)
 
 
 def bloch_rotation(u: np.ndarray) -> np.ndarray:
     """Rotation induced on the Pauli basis by conjugation with u (phase-free);
     a stack of unitaries ``[..., 2, 2]`` gives a stack ``[..., 3, 3]``."""
-    u = np.asarray(u)[..., None, :, :]
-    images = u @ _PAULI_VEC @ u.conj().swapaxes(-1, -2)    # u sigma_b u^dag
-    return np.einsum("aij,...bji->...ab", _PAULI_VEC, images).real / 2.0
+    c = _pauli_coefficients(np.asarray(u, dtype=complex))
+    pairs = (c[..., :, None] * c[..., None, :].conj()).reshape(*c.shape[:-1], 16)
+    return (pairs @ _ROTATION_FORM).real.reshape(*c.shape[:-1], 3, 3)
 
 
 def _first_long(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``vecs[P, M, 3]``: the first long vector, normalized, and whether one exists."""
+    """Per row of ``vecs[R, M, 3]``: the first long vector, normalized, and whether one exists."""
     norms = np.linalg.norm(vecs, axis=-1)
     rows, j = np.arange(len(vecs)), np.argmax(norms > _DEGENERATE, axis=1)
     return (vecs[rows, j] / np.maximum(norms[rows, j], _DEGENERATE)[:, None],
             norms[rows, j] > _DEGENERATE)
 
 
-def _canonical(rows: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """Key and right-handed frame (rows e1, e2, e3) from the P sign choices
-    ``rows[P, M, 4]`` of a set, each row a scalar and a vector: the key is
-    the scalars, then the frame coordinates of the vectors, rounded, and the
-    smallest key over the P choices is kept."""
+def _canonical(rows: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and right-handed frames (rows e1, e2, e3) of the segments of
+    ``rows[R, M, 4]``: each row is one sign choice for a set, a scalar and a
+    vector per unit, and ``seg[R]`` (ascending from 0, none empty) names its
+    set.  A row's key is the scalars, then the frame coordinates of the
+    vectors, rounded; each segment keeps the first of its smallest keys."""
     vecs = rows[..., 1:]
     e1, found = _first_long(vecs)
     e1[~found] = (1.0, 0.0, 0.0)    # all-scalar sets: the identity frame
@@ -198,61 +211,75 @@ def _canonical(rows: np.ndarray) -> tuple[tuple, np.ndarray]:
     frames = np.stack([e1, e2, np.cross(e1, e2)], axis=1)
     coords = (vecs @ frames.swapaxes(1, 2)).reshape(len(rows), -1)
     keys = np.round(np.concatenate([rows[..., 0], coords], axis=1), _KEY_DECIMALS)
-    best = np.lexsort(keys.T[::-1])[0]    # stable: the first of equal keys
-    return tuple(keys[best].tolist()), frames[best]
+    order = np.lexsort((*keys.T[::-1], seg))    # stable: the first of equal keys
+    best = order[np.flatnonzero(np.diff(seg, prepend=-1))]
+    return keys[best], frames[best]
 
 
-def _canonical_form(mats: np.ndarray, phase_sensitive: bool) -> tuple:
-    """Key, frame, and what a certificate must map (the gates ``mats[N, 2, 2]``,
-    or their Bloch rotations when phases are ignored)."""
-    if mats.shape[1:] != (2, 2):
+def _canonical_forms(mats: np.ndarray, phase_sensitive: bool) -> tuple:
+    """Keys ``[S, K]``, frames ``[S, 3, 3]`` and what a certificate must map
+    (the gates ``mats[S, N, 2, 2]``, or their Bloch rotations when phases are
+    ignored)."""
+    if mats.shape[-2:] != (2, 2):
         raise ValueError("equivalence classification expects qubit gates")
-    coef = np.einsum("mij,nji->nm", _TAU, mats) / 2    # mats = coef . (I, X, Y, Z)
+    coef = _pauli_coefficients(mats)
     if phase_sensitive:
-        return (*_canonical(np.stack([coef.real, coef.imag], axis=1).reshape(1, -1, 4)), mats)
-    # U/sqrt(det U) = q0 I - i q.sigma with q0 >= 0; a half turn (q0 = 0) has
-    # no such sign, so every sign pattern over the half turns is tried
-    coef = coef / np.sqrt(np.linalg.det(mats))[:, None]
-    quat = np.concatenate([coef[:, :1].real, -coef[:, 1:].imag], axis=1)
-    quat *= np.where(quat[:, :1] < 0, -1.0, 1.0)
-    half = np.flatnonzero(np.abs(quat[:, 0]) <= _DEGENERATE)
-    signs = np.ones((2 ** len(half), len(quat)))
-    signs[:, half] = 1 - 2 * ((np.arange(len(signs))[:, None] >> np.arange(len(half))) & 1)
-    return (*_canonical(quat * signs[..., None]), bloch_rotation(mats))
+        units, mapped = np.stack([coef.real, coef.imag], axis=2).reshape(len(mats), -1, 4), mats
+        half = np.zeros(units.shape[:2], dtype=bool)
+    else:
+        # U/sqrt(det U) = q0 I - i q.sigma with q0 >= 0; a half turn (q0 = 0)
+        # has no such sign, so every sign pattern over the half turns is tried
+        coef = coef / np.sqrt(np.linalg.det(mats))[..., None]
+        units = np.concatenate([coef[..., :1].real, -coef[..., 1:].imag], axis=-1)
+        units *= np.where(units[..., :1] < 0, -1.0, 1.0)
+        half, mapped = np.abs(units[..., 0]) <= _DEGENERATE, bloch_rotation(mats)
+    m = units.shape[1]
+    keys, frames = np.empty((len(mats), 4 * m)), np.empty((len(mats), 3, 3))
+    turns = half.sum(axis=1)
+    for h in map(int, np.flatnonzero(np.bincount(turns))):
+        flips = 1 - 2 * ((np.arange(2 ** h)[:, None] >> np.arange(h)) & 1)   # pattern p flips bit b
+        idx, step = np.flatnonzero(turns == h), max(1, _CHUNK >> h)   # _CHUNK rows, or one set
+        for part in (idx[lo:lo + step] for lo in range(0, len(idx), step)):
+            cols = np.nonzero(half[part])[1].reshape(len(part), 1, h)
+            signs = np.ones((len(part), 2 ** h, m))
+            np.put_along_axis(signs, np.broadcast_to(cols, (len(part), 2 ** h, h)), flips, axis=2)
+            rows = (units[part, None] * signs[..., None]).reshape(-1, m, 4)
+            keys[part], frames[part] = _canonical(rows, np.repeat(np.arange(len(part)), 2 ** h))
+    return keys, frames, mapped
 
 
 def _su2_lift(o: np.ndarray) -> np.ndarray:
-    """A unitary V whose Bloch rotation is the proper rotation o: with
-    V sigma_k V^dag = sum_j o[j, k] sigma_j, each
-    T(E) = sum_mu (V tau_mu V^dag) E tau_mu equals 2 tr(V^dag E) V."""
-    images = np.einsum("jk,jab->kab", o, _PAULI_VEC)
-    t = _TAU + np.einsum("kab,ebc,kcd->ead", images, _TAU, _PAULI_VEC)
-    best = t[np.argmax(np.linalg.norm(t, axis=(1, 2)))]
-    return best / np.sqrt(np.linalg.det(best))
+    """Unitaries V ``[B, 2, 2]`` whose Bloch rotations are the proper
+    rotations ``o[B, 3, 3]``: with V sigma_k V^dag = sum_j o[j, k] sigma_j,
+    each T(E) = sum_mu (V tau_mu V^dag) E tau_mu equals 2 tr(V^dag E) V."""
+    t = _TAU + (o.reshape(-1, 1, 9) @ _LIFT_FORM).reshape(-1, 4, 2, 2)
+    best = t[np.arange(len(t)), np.argmax(np.linalg.norm(t, axis=(2, 3)), axis=1)]
+    return best / np.sqrt(np.linalg.det(best))[:, None, None]
 
 
-def _conjugation_error(c: np.ndarray, rep: np.ndarray, member: np.ndarray) -> float:
-    return float(np.max(np.abs(c @ rep @ c.conj().T - member)))
+def _conjugation_errors(c: np.ndarray, reps: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Per pair, how far ``c[B]`` falls short of mapping ``reps[B, N]`` onto ``members[B, N]``."""
+    c = c[:, None]
+    return np.max(np.abs(c @ reps @ c.conj().swapaxes(-1, -2) - members), axis=(1, 2, 3))
 
 
-def _certificate(rep_form: tuple, member_form: tuple, phase_sensitive: bool,
-                 tol: float) -> np.ndarray | None:
-    """The conjugator that carries the representative's frame onto the
-    member's, if it maps the one set onto the other within tol."""
-    _, rep_frame, rep = rep_form
-    _, member_frame, member = member_form
-    c = member_frame.T @ rep_frame
+def _certificates(rep_frames: np.ndarray, member_frames: np.ndarray, reps: np.ndarray,
+                  members: np.ndarray, phase_sensitive: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair, the conjugator that carries the representative's frame onto
+    the member's, and its conjugation error."""
+    c = member_frames.swapaxes(1, 2) @ rep_frames
     if phase_sensitive:
         c = _su2_lift(c)
-    return c if _conjugation_error(c, rep, member) <= tol else None
+    return c, _conjugation_errors(c, reps, members)
 
 
 def _pair_certificate(a: OracleSet, b: OracleSet, phase_sensitive: bool,
                       tol: float) -> np.ndarray | None:
     if a.N != b.N or a.dim != b.dim:
         raise ValueError("oracle sets must have matching shape")
-    return _certificate(_canonical_form(a.matrices(), phase_sensitive),
-                        _canonical_form(b.matrices(), phase_sensitive), phase_sensitive, tol)
+    _, frames, mapped = _canonical_forms(np.stack([a.matrices(), b.matrices()]), phase_sensitive)
+    (c,), (err,) = _certificates(frames[:1], frames[1:], mapped[:1], mapped[1:], phase_sensitive)
+    return c if err <= tol else None
 
 
 def find_conjugator(a: OracleSet, b: OracleSet, tol: float = CONJUGATOR_TOL) -> np.ndarray | None:
@@ -284,6 +311,14 @@ class EquivalenceClassification:
         return len(self.classes)
 
 
+def _by_shape(shapes: list[tuple]) -> list[list[int]]:
+    """Positions of equal shapes, grouped in order of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for n, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(n)
+    return list(groups.values())
+
+
 def equivalence_classes(sets, phase_sensitive: bool = True,
                         tol: float = CONJUGATOR_TOL) -> EquivalenceClassification:
     """Group oracle sets that a single change of basis maps onto each other.
@@ -294,19 +329,32 @@ def equivalence_classes(sets, phase_sensitive: bool = True,
     its canonical key whose representative the frame-built conjugator maps
     onto it within tol.
     """
-    forms = [_canonical_form(s.matrices(), phase_sensitive) for s in sets]
+    stacks = [s.matrices() for s in sets]
+    forms: list[tuple] = [()] * len(stacks)
+    for idx in _by_shape([m.shape for m in stacks]):   # keys of different shapes never coincide
+        keys, frames, mapped = _canonical_forms(np.stack([stacks[i] for i in idx]), phase_sensitive)
+        keys = list(map(tuple, keys.tolist()))
+        first: dict[tuple, int] = {}
+        rep = [first.setdefault(key, j) for j, key in enumerate(keys)]
+        # every set tries the first set with its key, all in one batch
+        tries = _certificates(frames[rep], frames, mapped[rep], mapped, phase_sensitive)
+        for i, form in zip(idx, zip(keys, frames, mapped, *tries)):
+            forms[i] = form
     by_key: dict[tuple, list[int]] = {}   # canonical key -> indices into classes
     classes: list[list[int]] = []
     conjugators: dict[int, np.ndarray] = {}
-    for i, form in enumerate(forms):
-        for k in by_key.get(form[0], ()):
-            c = _certificate(forms[classes[k][0]], form, phase_sensitive, tol)
-            if c is not None:
+    for i, (key, frame, image, c, err) in enumerate(forms):
+        for n, k in enumerate(by_key.get(key, ())):
+            if n:   # a later class with this key: try its representative instead
+                _, rep_frame, rep_image, *_ = forms[classes[k][0]]
+                (c,), (err,) = _certificates(rep_frame[None], frame[None], rep_image[None],
+                                             image[None], phase_sensitive)
+            if err <= tol:
                 classes[k].append(i)
                 conjugators[i] = c
                 break
         else:
-            by_key.setdefault(form[0], []).append(len(classes))
+            by_key.setdefault(key, []).append(len(classes))
             classes.append([i])
     return EquivalenceClassification(tuple(map(tuple, classes)), phase_sensitive, conjugators)
 
@@ -315,19 +363,27 @@ def verify_classification(classification: EquivalenceClassification, sets,
                           tol: float = CONJUGATOR_TOL) -> None:
     """Re-verify every recorded merge: its certificate must be unitary (a
     proper rotation when phases are ignored) and must map the class
-    representative onto the member.  Raises InvariantViolation on failure."""
+    representative onto the member.  Raises InvariantViolation for the first
+    failing merge in class order."""
     strict = classification.phase_sensitive
-    sets = list(sets)
-    for cls in classification.classes:
-        mats = [sets[i].matrices() for i in cls]
-        rep, *members = mats if strict else [bloch_rotation(m) for m in mats]
-        for i, member in zip(cls[1:], members):
-            c = classification.conjugators[i]
-            defect = float(np.max(np.abs(c @ c.conj().T - np.eye(len(c)))))
-            if not strict:
-                defect = max(defect, abs(np.linalg.det(c) - 1.0))
-            err = _conjugation_error(c, rep, member)
-            if max(defect, err) > tol:
-                raise InvariantViolation(
-                    f"merge of set {i} into class of {cls[0]} fails verification "
-                    f"(certificate defect {defect:.2e}, conjugation error {err:.2e})")
+    stacks = [s.matrices() for s in sets]
+    merges = [(cls[0], i) for cls in classification.classes for i in cls[1:]]
+    if not merges:
+        return
+    certs = np.stack([classification.conjugators[i] for _, i in merges])
+    defect = np.max(np.abs(certs @ certs.conj().swapaxes(1, 2) - np.eye(certs.shape[1])),
+                    axis=(1, 2))
+    if not strict:
+        defect = np.maximum(defect, np.abs(np.linalg.det(certs) - 1.0))
+    err = np.empty(len(merges))
+    for ns in _by_shape([stacks[i].shape for _, i in merges]):
+        reps, members = (np.stack([stacks[merges[n][side]] for n in ns]) for side in (0, 1))
+        if not strict:
+            reps, members = bloch_rotation(reps), bloch_rotation(members)
+        err[ns] = _conjugation_errors(certs[ns], reps, members)
+    failed = np.flatnonzero(~(np.maximum(defect, err) <= tol))   # NaN fails too
+    if failed.size:
+        n = failed[0]
+        raise InvariantViolation(
+            f"merge of set {merges[n][1]} into class of {merges[n][0]} fails verification "
+            f"(certificate defect {defect[n]:.2e}, conjugation error {err[n]:.2e})")

@@ -160,9 +160,9 @@ class RunResult:
 
     def __post_init__(self):
         p = np.asarray(self.outcome_distribution, dtype=float)
-        if p.min() < -1e-9:
-            raise ValueError("negative outcome probability")
-        if abs(p.sum() - 1.0) > 1e-9:
+        if not p.min() >= -1e-9:    # written so that NaN fails
+            raise ValueError("negative or NaN outcome probability")
+        if not abs(p.sum() - 1.0) <= 1e-9:
             raise ValueError("outcome probabilities must sum to 1")
         p = np.maximum(p, 0.0)
         p.flags.writeable = False

@@ -9,7 +9,8 @@ from switchlab import (OracleSet, PermutationSet, SIGMA_STAR, chart_fixture,
                        find_rotation_conjugator, gate_set_G, pauli,
                        verify_classification)
 from switchlab.linalg import InvariantViolation, random_unitary
-from switchlab.oracles import bloch_rotation
+from switchlab.oracles import (CONJUGATOR_TOL, _DEGENERATE, _KEY_DECIMALS, _TAU,
+                               _certificates, _first_long, bloch_rotation)
 from switchlab.switch import NamedGate
 
 
@@ -271,25 +272,23 @@ def test_phase_insensitive_conjugators_are_proper_rotations(promise_sets):
 
 def test_classification_invariant_under_input_order(promise_sets):
     _, sets = promise_sets
-    subset = sets[:120]
-    order = np.random.default_rng(2).permutation(len(subset))
-    shuffled = [subset[i] for i in order]
+    order = np.random.default_rng(2).permutation(len(sets))
+    shuffled = [sets[i] for i in order]
 
     def partition(classes, index):
         return sorted(sorted(int(index[i]) for i in c) for c in classes)
 
     for phase_sensitive in (True, False):
-        a = equivalence_classes(subset, phase_sensitive)
+        a = equivalence_classes(sets, phase_sensitive)
         b = equivalence_classes(shuffled, phase_sensitive)
-        assert partition(b.classes, order) == partition(a.classes, range(len(subset)))
+        assert partition(b.classes, order) == partition(a.classes, range(len(sets)))
 
 
 def test_classification_invariant_under_common_rotation(promise_sets):
     _, sets = promise_sets
-    subset = sets[:80]
     v = random_unitary(2, np.random.default_rng(3))
-    rotated = [s.conjugated(v) for s in subset]
-    a = equivalence_classes(subset)
+    rotated = [s.conjugated(v) for s in sets]
+    a = equivalence_classes(sets)
     b = equivalence_classes(rotated)
     assert a.n_classes == b.n_classes
     assert sorted(len(c) for c in a.classes) == sorted(len(c) for c in b.classes)
@@ -368,3 +367,109 @@ def test_verify_classification_rejects_reflections(promise_sets):
     bad = type(loose)(loose.classes, loose.phase_sensitive, reflected)
     with pytest.raises(InvariantViolation, match="fails verification"):
         verify_classification(bad, sets[:40])
+
+
+def test_verify_classification_names_the_first_failing_merge(promise_sets):
+    _, sets = promise_sets
+    subset = sets[:40]
+    for phase_sensitive in (True, False):
+        cls = equivalence_classes(subset, phase_sensitive)
+        merges = [(c[0], i) for c in cls.classes for i in c[1:]]
+        # two merges whose members come in the opposite order to their classes
+        first, later = next((a, b) for a in merges for b in merges[merges.index(a) + 1:]
+                            if b[1] < a[1])
+        tampered = dict(cls.conjugators)
+        for _, i in (later, first):
+            tampered[i] = 2 * tampered[i]
+        bad = type(cls)(cls.classes, phase_sensitive, tampered)
+        with pytest.raises(InvariantViolation,
+                           match=rf"merge of set {first[1]} into class of {first[0]} fails"):
+            verify_classification(bad, subset)
+
+
+def test_classification_edge_cases():
+    xyz1, xyz = oracle_of(*"XYZ1"), oracle_of(*"XYZ")
+    qutrit = OracleSet((NamedGate("C", np.roll(np.eye(3), 1, axis=0)),))
+    for phase_sensitive in (True, False):
+        empty = equivalence_classes([], phase_sensitive)
+        assert empty.n_classes == 0
+        verify_classification(empty, [])
+        # keys of sets of different sizes never meet, so the order survives
+        mixed = equivalence_classes([xyz1, xyz, xyz1], phase_sensitive)
+        assert mixed.classes == ((0, 2), (1,))
+        verify_classification(mixed, [xyz1, xyz, xyz1])
+        with pytest.raises(ValueError, match="equivalence classification expects qubit gates"):
+            equivalence_classes([xyz1, qutrit], phase_sensitive)
+
+
+# independent oracle: the classifier one set and one merge at a time.  The
+# certificate arithmetic (_certificates, bloch_rotation) is shared, so that
+# tol = 0 compares the batching rather than the last bits of rounding.
+def reference_form(mats, phase_sensitive):
+    coef = np.einsum("mij,nji->nm", _TAU, mats) / 2
+    if phase_sensitive:
+        rows, mapped = np.stack([coef.real, coef.imag], axis=1).reshape(1, -1, 4), mats
+    else:
+        coef = coef / np.sqrt(np.linalg.det(mats))[:, None]
+        quat = np.concatenate([coef[:, :1].real, -coef[:, 1:].imag], axis=1)
+        quat *= np.where(quat[:, :1] < 0, -1.0, 1.0)
+        half = np.flatnonzero(np.abs(quat[:, 0]) <= _DEGENERATE)
+        signs = np.ones((2 ** len(half), len(quat)))
+        signs[:, half] = 1 - 2 * ((np.arange(len(signs))[:, None] >> np.arange(len(half))) & 1)
+        rows, mapped = quat * signs[..., None], bloch_rotation(mats)
+    vecs = rows[..., 1:]
+    e1, found = _first_long(vecs)
+    e1[~found] = (1.0, 0.0, 0.0)
+    e2, found = _first_long(vecs - (vecs @ e1[:, :, None]) * e1[:, None, :])
+    axis = np.eye(3)[np.argmin(np.abs(e1), axis=1)]
+    fill = axis - np.sum(axis * e1, axis=1, keepdims=True) * e1
+    e2[~found] = fill[~found] / np.linalg.norm(fill[~found], axis=1, keepdims=True)
+    frames = np.stack([e1, e2, np.cross(e1, e2)], axis=1)
+    coords = (vecs @ frames.swapaxes(1, 2)).reshape(len(rows), -1)
+    keys = np.round(np.concatenate([rows[..., 0], coords], axis=1), _KEY_DECIMALS)
+    best = np.lexsort(keys.T[::-1])[0]
+    return tuple(keys[best].tolist()), frames[best], mapped
+
+
+def reference_classes(sets, phase_sensitive, tol):
+    forms = [reference_form(s.matrices(), phase_sensitive) for s in sets]
+    by_key, classes, conjugators = {}, [], {}
+    for i, (key, frame, mapped) in enumerate(forms):
+        for k in by_key.get(key, ()):
+            _, rep_frame, rep_mapped = forms[classes[k][0]]
+            (c,), (err,) = _certificates(rep_frame[None], frame[None], rep_mapped[None],
+                                         mapped[None], phase_sensitive)
+            if err <= tol:
+                classes[k].append(i)
+                conjugators[i] = c
+                break
+        else:
+            by_key.setdefault(key, []).append(len(classes))
+            classes.append([i])
+    return tuple(map(tuple, classes)), conjugators
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       picks=st.lists(st.integers(0, 459), max_size=40, unique=True),
+       paulis=st.lists(st.text("1XYZ", min_size=4, max_size=4), max_size=10),
+       copies=st.integers(0, 12))
+def test_batched_classification_matches_per_set_loop(promise_sets, seed, picks, paulis, copies):
+    # Pauli sets carry 0 to 4 half turns; with tol = 0 the rounding-level
+    # error of a Haar copy fails its first try, so later copies fall back to
+    # later classes with the same key
+    _, sets = promise_sets
+    rng = np.random.default_rng(seed)
+    base = [sets[i] for i in picks] + [oracle_of(*p) for p in paulis]
+    if base:
+        base += [base[j].conjugated(random_unitary(2, rng))
+                 for j in rng.integers(len(base), size=copies)]
+    both = [base[i] for i in rng.permutation(len(base))]
+    for phase_sensitive in (True, False):
+        for tol in (CONJUGATOR_TOL, 0.0):
+            got = equivalence_classes(both, phase_sensitive, tol)
+            classes, conjugators = reference_classes(both, phase_sensitive, tol)
+            assert got.classes == classes
+            assert got.conjugators.keys() == conjugators.keys()
+            for i, c in conjugators.items():
+                assert np.max(np.abs(got.conjugators[i] - c)) <= 1e-12

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from switchlab import (NoiseModel, OracleSet, PermutationSet, SIGMA_STAR,
+from switchlab import (NoiseModel, OracleSet, PermutationSet, RunResult, SIGMA_STAR,
                        all_products, apply_n_switch, basis_state,
                        chart_fixture, dimension_constraint_ok, hadamard_m4,
                        pauli, random_state, run_fourier_algorithm,
@@ -242,6 +242,14 @@ def test_success_probability_requires_claimed_column(m4):
     res = run_hadamard_algorithm(orc, SIGMA_STAR, m4, basis_state(2, 0))
     assert res.success_probability is None
     assert res.decoded_y == 1
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0],
+                                 [np.inf, -np.inf], [0.5, -np.inf]])
+def test_run_result_rejects_non_finite_distributions(bad):
+    # a NaN compares False against any bound, so an unguarded check would pass it
+    with pytest.raises(ValueError):
+        RunResult(np.array(bad), 0, None)
 
 
 # ---------------------------------------------------------------------------
