@@ -4,6 +4,9 @@ command emitting one JSON report on stdout.
 Exit codes: 0 success, 2 usage or parameter error, 3 internal invariant
 violation.  With fixed arguments and seed the JSON payload is byte-identical
 across runs except for the elapsed_ms field.
+
+Each command imports the modules it runs inside its handler, so a cold
+command loads only those.
 """
 from __future__ import annotations
 
@@ -14,15 +17,8 @@ import time
 
 import numpy as np
 
-from .fixed_order import (attack_combined, attack_table1, attack_table2,
-                          build_fixed_circuit, switch_equivalence_fidelity)
 from .gates import NamedGate, SignMatrix, gate_set_G, hadamard_m4, pauli, sylvester_hadamard
 from .linalg import InvariantViolation, basis_state
-from .oracles import (chart_fixture, check_promise, enumerate_promise_sets,
-                      equivalence_classes, verify_classification)
-from .processes import (build_effective_process, success_probability,
-                        uniform_witness, witness_operator)
-from .supersequences import quartet_census, scs
 from .switch import (NoiseModel, OracleSet, PermutationSet, SIGMA_STAR,
                      run_hadamard_algorithm, sample_shots)
 
@@ -108,6 +104,7 @@ def resolve_matrix(spec: str, p: int) -> SignMatrix:
 
 
 def resolve_oracle(table: str, column: int, p: int) -> OracleSet:
+    from .oracles import chart_fixture
     if table == "thirty":
         fixtures = chart_fixture("thirty")
         if not 0 <= column < len(fixtures):
@@ -134,6 +131,7 @@ def resolve_oracle(table: str, column: int, p: int) -> OracleSet:
 # ---------------------------------------------------------------------------
 
 def cmd_scs(args) -> dict:
+    from .supersequences import quartet_census, scs
     if args.census:
         census = quartet_census()
         return {
@@ -155,6 +153,7 @@ def cmd_scs(args) -> dict:
 
 
 def cmd_enumerate(args) -> dict:
+    from .oracles import enumerate_promise_sets, equivalence_classes, verify_classification
     gates = resolve_gates(args.gates)
     perms = resolve_perms(args.perms)
     matrix = resolve_matrix(args.matrix, perms.P)
@@ -199,6 +198,8 @@ def cmd_run(args) -> dict:
 
 
 def cmd_circuit(args) -> dict:
+    from .fixed_order import build_fixed_circuit, switch_equivalence_fidelity
+    from .supersequences import scs
     perms = resolve_perms(args.perms)
     oracle = resolve_oracle(args.table, args.column, perms.P)
     superseq = scs(perms)
@@ -217,6 +218,9 @@ def cmd_circuit(args) -> dict:
 
 
 def cmd_witness(args) -> dict:
+    from .oracles import chart_fixture, check_promise
+    from .processes import (build_effective_process, success_probability,
+                            uniform_witness, witness_operator)
     perms = resolve_perms(args.perms)
     matrix = resolve_matrix(args.matrix, perms.P)
     if args.components in ("table1-uniform", "table2-uniform", "thirty-uniform"):
@@ -248,6 +252,8 @@ def cmd_witness(args) -> dict:
 
 
 def cmd_attack(args) -> dict:
+    from .fixed_order import attack_combined, attack_table1, attack_table2
+    from .oracles import chart_fixture
     strategies = {"1": attack_table1, "2": attack_table2, "auto": attack_combined}
     if args.table not in strategies:
         raise UsageError("attack table must be 1, 2 or auto")

@@ -5,7 +5,8 @@ The promise is exact operator equality including global phase: every
 ordering product must equal a +-1 multiple of the reference product, with
 the signs forming one column of the sign matrix.  Enumeration iterates all
 ordered gate assignments (labels matter) in lexicographic order, vectorized
-over fixed-size slices of assignments.
+over fixed-size slices of assignments; every ordering product is read from
+one table of all gate words, built once.
 
 Qubit gate sets equivalent under a common change of basis share a
 canonical key.  With each gate written U = a I + b.sigma, conjugation fixes
@@ -24,7 +25,7 @@ import numpy as np
 
 from .gates import NamedGate, SignMatrix, pauli
 from .linalg import InvariantViolation
-from .switch import OracleSet, PermutationSet, _ordering_products, all_products
+from .switch import OracleSet, PermutationSet, all_products
 
 PROMISE_TOL = 1e-9
 _CHUNK = 4096   # assignments, or canonical-form rows, per vectorized batch
@@ -70,6 +71,27 @@ class EnumerationCensus:
             raise ValueError("total disagrees with per-column counts")
 
 
+def _gate_words(mats: np.ndarray, n: int) -> np.ndarray:
+    """Every product of n gates from ``mats[G, d, d]``, shape ``[G**n, d, d]``:
+    the word q_0 ... q_{n-1} sits at index sum_j q_j G**(n-1-j) and equals
+    mats[q_0] @ (mats[q_1] @ (... @ mats[q_{n-1}])), associated as
+    ``_ordering_products`` associates its factors."""
+    words = mats
+    for _ in range(n - 1):
+        words = (mats[:, None] @ words[None]).reshape(-1, *mats.shape[1:])
+    return words
+
+
+def _word_products(words: np.ndarray, g: int, assignments: np.ndarray,
+                   sigma: np.ndarray) -> np.ndarray:
+    """The products of gate assignments ``assignments[C, N]`` (indices into g
+    gates) in every ordering of ``sigma[P, N]``, read from the word table of
+    ``_gate_words``: shape ``[C, P, d, d]``.  An ordering's first gate acts
+    first, so it is its word's last letter."""
+    place = g ** np.arange(sigma.shape[1] - 1, -1, -1)
+    return words[assignments[:, sigma[:, ::-1]] @ place]
+
+
 def enumerate_promise_sets(gates, perms: PermutationSet, m: SignMatrix,
                            tol: float = PROMISE_TOL):
     """Check every ordered assignment of the given gates to the N slots.
@@ -83,13 +105,16 @@ def enumerate_promise_sets(gates, perms: PermutationSet, m: SignMatrix,
     if not gates:
         raise ValueError("gate list must be nonempty")
     mats = np.stack([g.matrix for g in gates])
+    words = _gate_words(mats, perms.N)
     signs = m.entries.astype(float)
-    combos = np.indices((len(gates),) * perms.N).reshape(perms.N, -1).T
+    shape = (len(gates),) * perms.N
     counts = np.zeros(m.P, dtype=np.int64)
     sets: list[OracleSet] = []
-    for start in range(0, len(combos), _CHUNK):
-        q = combos[start:start + _CHUNK]
-        ok = _promise_residuals(_ordering_products(mats[q], perms.index), signs) <= tol
+    for start in range(0, len(words), _CHUNK):
+        rows = np.arange(start, min(start + _CHUNK, len(words)))   # no table of all assignments
+        q = np.stack(np.unravel_index(rows, shape), axis=1)
+        prods = _word_products(words, len(gates), q, perms.index)
+        ok = _promise_residuals(prods, signs) <= tol
         for c in np.flatnonzero(ok.any(axis=1)):
             y = int(np.argmax(ok[c]))   # smallest satisfied column
             counts[y] += 1

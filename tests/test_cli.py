@@ -190,7 +190,7 @@ def test_non_finite_epsilon_exits_2(capsys, epsilon):
 
 
 def test_invariant_violation_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "switch_equivalence_fidelity",
+    monkeypatch.setattr("switchlab.fixed_order.switch_equivalence_fidelity",
                         lambda *a, **k: 0.5)
     code, _, err = run_cli(capsys, "circuit", "--table", "1", "--column", "0")
     assert code == 3

@@ -1,6 +1,9 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchlab import (OracleSet, PermutationSet, SIGMA_STAR, chart_fixture,
@@ -8,10 +11,12 @@ from switchlab import (OracleSet, PermutationSet, SIGMA_STAR, chart_fixture,
                        equivalence_classes, find_conjugator,
                        find_rotation_conjugator, gate_set_G, pauli,
                        verify_classification)
+from switchlab import oracles
 from switchlab.linalg import InvariantViolation, random_unitary
 from switchlab.oracles import (CONJUGATOR_TOL, _DEGENERATE, _KEY_DECIMALS, _TAU,
-                               _certificates, _first_long, bloch_rotation)
-from switchlab.switch import NamedGate
+                               _certificates, _first_long, _gate_words, _word_products,
+                               bloch_rotation)
+from switchlab.switch import NamedGate, _ordering_products
 
 
 def oracle_of(*names):
@@ -147,6 +152,61 @@ def test_enumerate_gate_order_invariance(m4):
     census_b, _ = enumerate_promise_sets(gates[::-1], SIGMA_STAR, m4)
     assert census_a.total == census_b.total
     assert census_a.per_column == census_b.per_column
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), g=st.integers(1, 6), d=st.sampled_from([2, 3]),
+       n=st.integers(1, 5), p=st.integers(1, 6))
+@example(seed=0, g=7, d=2, n=5, p=4)   # 7**5 words: more than _CHUNK, and no multiple of it
+def test_word_table_products_match_ordering_products(seed, g, d, n, p):
+    rng = np.random.default_rng(seed)
+    mats = np.stack([random_unitary(d, rng) for _ in range(g)])
+    sigma = np.array([rng.permutation(n) for _ in range(p)])
+    combos = np.indices((g,) * n).reshape(n, -1).T
+    words = _gate_words(mats, n)
+    assert words.shape == (g ** n, d, d)
+    # bit-identical, not just close: the factors associate the same way
+    assert np.array_equal(_word_products(words, g, combos, sigma),
+                          _ordering_products(mats[combos], sigma))
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       picks=st.lists(st.integers(0, 9), min_size=1, max_size=6, unique=True),
+       haar=st.booleans(), random_orderings=st.booleans(),
+       chunk=st.sampled_from([7, 100, oracles._CHUNK]))
+@example(seed=0, picks=list(range(9)), haar=False, random_orderings=False, chunk=oracles._CHUNK)
+def test_enumeration_matches_per_assignment_loop(m4, seed, picks, haar, random_orderings, chunk):
+    rng = np.random.default_rng(seed)
+    library = gate_set_G()
+    gates = [library[i] for i in picks]
+    if haar:
+        gates.append(NamedGate("haar", random_unitary(2, rng)))
+    perms = SIGMA_STAR
+    if random_orderings:
+        orderings = list(itertools.permutations(range(4)))   # the identity first
+        rest = rng.choice(np.arange(1, 24), size=3, replace=False)
+        perms = PermutationSet([orderings[k] for k in (0, *rest)])
+    expected = []
+    for q in itertools.product(gates, repeat=4):
+        verdict = check_promise(OracleSet(q), perms, m4)
+        if verdict.satisfied:
+            expected.append((tuple(g.name for g in q), verdict.y))
+    with mock.patch.object(oracles, "_CHUNK", chunk):
+        census, sets = enumerate_promise_sets(gates, perms, m4)
+    assert [(s.names(), s.claimed_y) for s in sets] == expected
+    assert census.per_column == tuple(sum(y == c for _, y in expected) for c in range(4))
+
+
+def test_five_gate_instance(m4):
+    # the longest five-label quartet: scs length 12 against 5 switch queries
+    perms = PermutationSet.from_strings(["ABCDE", "ACBED", "DCAEB", "EBADC"])
+    census, sets = enumerate_promise_sets(gate_set_G(), perms, m4)
+    assert census.total == 3022
+    assert census.per_column == (1840, 492, 384, 306)
+    for oracle in sets:
+        verdict = check_promise(oracle, perms, m4)
+        assert verdict.satisfied and verdict.y == oracle.claimed_y
 
 
 # ---------------------------------------------------------------------------
