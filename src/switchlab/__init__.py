@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "gates": ("NamedGate", "SignMatrix", "fourier_matrix", "gate_set_G", "hadamard_m4",
               "pauli", "sylvester_hadamard"),
-    "linalg": ("ATOL", "InvariantViolation", "LabeledSpace", "basis_state", "choi_vector",
-               "fidelity", "kron_all", "partial_trace", "random_state", "random_unitary"),
+    "linalg": ("ATOL", "InvariantViolation", "basis_state", "choi_vector", "fidelity",
+               "kron_all", "random_state", "random_unitary"),
     "oracles": ("EnumerationCensus", "EquivalenceClassification", "PromiseVerdict",
                 "bloch_rotation", "chart_fixture", "check_promise", "enumerate_promise_sets",
                 "equivalence_classes", "find_conjugator", "find_rotation_conjugator",

@@ -16,12 +16,15 @@ dense W is built only on request.  The decomposition verifier takes dense
 parts (they may come from anywhere) and checks positivity on each part's
 support only.
 
-Frozen conventions (asserted by tests):
+One fixed layout (asserted by tests), slowest factor first:
 
-* party spaces are ordered (A_I, A_O, B_I, B_O, C_I, C_O, D_I, D_O), each of
-  dimension 2, with the readout space ``c`` last;
-* wiring links are unnormalized maximally-entangled pairs |00> + |11> with
-  squared norm 2;
+* the eight party qubits (A_I, A_O, B_I, B_O, C_I, C_O, D_I, D_O), then the
+  readout ``c`` of dimension P: processes and witnesses live on 256 * P
+  rows, and the P of a process is read from its row count;
+* wiring chains run over (parties, t_f), and the ideal switch ket over
+  (c_p, t_p, parties, t_f, c_f);
+* wiring links are identities, i.e. unnormalized maximally-entangled pairs
+  |00> + |11> with squared norm 2;
 * the transpose in witness operators is taken entrywise in the computational
   product basis.
 """
@@ -34,15 +37,13 @@ from functools import cached_property
 import numpy as np
 
 from .gates import SignMatrix
-from .linalg import (LabeledSpace, as_state, basis_state, choi_vector,
-                     kron_all, partial_trace, reorder_matrix, reorder_vector,
-                     space_dims, space_index)
+from .linalg import as_state, basis_state, choi_vector, kron_all
 from .switch import OracleSet, PermutationSet, SIGMA_STAR
 
 PARTY_NAMES = "ABCD"
-PARTY_LABELS = tuple(f"{p}_{io}" for p in PARTY_NAMES for io in ("I", "O"))
+PARTY_DIM = 2 ** (2 * len(PARTY_NAMES))  # 256: the eight party qubits
 
-_LINK = np.array([1, 0, 0, 1], dtype=complex)  # |00> + |11>, squared norm 2
+_EYE = np.eye(2, dtype=complex)
 
 
 def _psd_violation(mat: np.ndarray, tol: float) -> float:
@@ -56,38 +57,26 @@ def _psd_violation(mat: np.ndarray, tol: float) -> float:
         return max(0.0, -float(np.linalg.eigvalsh(h).min()))
 
 
-def party_spaces() -> list[LabeledSpace]:
-    return [LabeledSpace(lab, 2) for lab in PARTY_LABELS]
-
-
-def effective_spaces(p: int = 4) -> list[LabeledSpace]:
-    return party_spaces() + [LabeledSpace("c", p)]
-
-
-def switch_process_spaces(p: int = 4) -> list[LabeledSpace]:
-    return ([LabeledSpace("c_p", p), LabeledSpace("t_p", 2)] + party_spaces()
-            + [LabeledSpace("t_f", 2), LabeledSpace("c_f", p)])
-
-
 @dataclass(frozen=True, eq=False)
 class ProcessMatrix:
-    """Labeled positive-semidefinite operator W = A A^dagger over an ordered
-    space list, stored as its factor A of shape (d, r)."""
+    """Positive-semidefinite operator W = A A^dagger over (parties, c),
+    stored as its factor A of shape (256 * P, r)."""
 
-    spaces: tuple[LabeledSpace, ...]
     factor: np.ndarray = field(repr=False)
 
-    def __init__(self, spaces, factor):
-        spaces = tuple(spaces)
+    def __init__(self, factor):
         factor = np.array(factor, dtype=complex)
-        d = int(np.prod(space_dims(spaces)))
-        if factor.ndim != 2 or factor.shape[0] != d:
-            raise ValueError(f"factor shape {factor.shape} does not match spaces (dim {d})")
+        if factor.ndim != 2 or factor.shape[0] == 0 or factor.shape[0] % PARTY_DIM:
+            raise ValueError(f"factor shape {factor.shape} is not ({PARTY_DIM} * P, r)")
         if not np.all(np.isfinite(factor)):
             raise ValueError("process factor has non-finite entries")
         factor.flags.writeable = False
-        object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "factor", factor)
+
+    @property
+    def P(self) -> int:
+        """Dimension of the readout ``c``."""
+        return self.factor.shape[0] // PARTY_DIM
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -100,25 +89,22 @@ class ProcessMatrix:
     def trace(self) -> float:
         return float(np.vdot(self.factor, self.factor).real)
 
-    def labels(self) -> list[str]:
-        return [s.label for s in self.spaces]
+
+def _chain(order, head) -> np.ndarray:
+    """Identity links through the slots in ``order`` over (parties, t_f):
+    ``head`` [..., 2] feeds the first slot's input, each slot's output the
+    next slot's input, and the last output t_f.  Shape [..., 2 x 9]."""
+    # axis letters: a..h the party qubits (A_I, A_O, ..., D_O), i for t_f
+    ins = [chr(ord("a") + 2 * j) for j in order] + ["i"]
+    outs = [chr(ord("b") + 2 * j) for j in order]
+    links = ",".join(o + i for o, i in zip(outs, ins[1:]))
+    return np.einsum(f"...{ins[0]},{links}->...abcdefghi", head, *[_EYE] * len(outs))
 
 
-def _chain_ket(order, head, tail, spaces) -> np.ndarray:
-    """Ket over ``spaces`` for the slots wired in ``order``: the ``head``
-    factors, identity links from each slot's output to the next slot's input
-    and from the last output to t_f, then the ``tail`` factors.  ``head`` and
-    ``tail`` are lists of (vector, labels) pairs; the head must end on the
-    first slot's input."""
-    slots = [PARTY_NAMES[j] for j in order]
-    ends = [f"{b}_I" for b in slots[1:]] + ["t_f"]
-    links = [(_LINK, [f"{a}_O", b]) for a, b in zip(slots, ends)]
-    parts = list(head) + links + list(tail)
-    labels = [lab for _, labs in parts for lab in labs]
-    dims = {sp.label: sp.dim for sp in spaces}
-    vec = kron_all([v for v, _ in parts])
-    return reorder_vector(vec, [dims[lab] for lab in labels],
-                          [labels.index(sp.label) for sp in spaces])
+def _require_four_slots(perms: PermutationSet) -> None:
+    if perms.N != len(PARTY_NAMES):
+        raise ValueError(f"process wiring needs orderings of the four slots "
+                         f"{PARTY_NAMES}, got orderings of {perms.N} labels")
 
 
 def build_switch_process_ket(perms: PermutationSet = SIGMA_STAR) -> np.ndarray:
@@ -128,15 +114,12 @@ def build_switch_process_ket(perms: PermutationSet = SIGMA_STAR) -> np.ndarray:
     links routing t_p through the gate slots in ordering x and out to t_f.
     Squared norm is P * 2**(N+1) (orthogonal branches, N+1 links each).
     """
+    _require_four_slots(perms)
     p = perms.P
-    spaces = switch_process_spaces(p)
-    total = np.zeros(int(np.prod(space_dims(spaces))), dtype=complex)
+    ket = np.zeros((p, 2) + (2,) * 9 + (p,), dtype=complex)
     for x, sig in enumerate(perms.sigma):
-        basis_x = np.zeros(p, dtype=complex)
-        basis_x[x] = 1.0
-        head = [(basis_x, ["c_p"]), (_LINK, ["t_p", f"{PARTY_NAMES[sig[0]]}_I"])]
-        total += _chain_ket(sig, head, [(basis_x, ["c_f"])], spaces)
-    return total
+        ket[x, ..., x] = _chain(sig, _EYE)
+    return ket.reshape(-1)
 
 
 def build_effective_ket(target_in: np.ndarray, m: SignMatrix,
@@ -150,17 +133,12 @@ def build_effective_ket(target_in: np.ndarray, m: SignMatrix,
     P branches each carry 2**N / P and are orthogonal on ``c``).
     """
     target = as_state(target_in)
-    p = perms.P
-    if m.P != p:
+    _require_four_slots(perms)
+    if m.P != perms.P:
         raise ValueError("sign-matrix order does not match the permutation set")
     h = m.as_gate()
-    hinv = m.as_gate_inverse()
-    spaces = party_spaces() + [LabeledSpace("t_f", 2), LabeledSpace("c", p)]
-    total = np.zeros(int(np.prod(space_dims(spaces))), dtype=complex)
-    for x, sig in enumerate(perms.sigma):
-        head = [(target, [f"{PARTY_NAMES[sig[0]]}_I"])]
-        total += h[x, 0] * _chain_ket(sig, head, [(hinv[:, x], ["c"])], spaces)
-    return total
+    chains = np.array([_chain(sig, target) for sig in perms.sigma])
+    return np.einsum("cx,x...->...c", m.as_gate_inverse() * h[:, 0], chains).reshape(-1)
 
 
 def build_effective_process(target_in: np.ndarray, m: SignMatrix,
@@ -169,22 +147,20 @@ def build_effective_process(target_in: np.ndarray, m: SignMatrix,
     final target register traced out.  Trace 2**N; rank <= 2, with one
     factor column per value of t_f."""
     ket = build_effective_ket(target_in, m, perms).reshape(-1, 2, m.P)
-    factor = ket.transpose(0, 2, 1).reshape(-1, 2)
-    return ProcessMatrix(effective_spaces(m.P), factor)
+    return ProcessMatrix(ket.transpose(0, 2, 1).reshape(-1, 2))
 
 
-def definite_order_process(order: str, target_in: np.ndarray, answer_y: int,
-                           p: int = 4) -> ProcessMatrix:
+def definite_order_process(order: str, target_in: np.ndarray,
+                           answer_y: int) -> ProcessMatrix:
     """Comb that wires the slots in one fixed order and always reports
-    ``answer_y``: the baseline every witness is scored against."""
+    ``answer_y`` on a four-outcome readout: the baseline every witness is
+    scored against."""
     target = as_state(target_in)
     seq = [PARTY_NAMES.index(ch) for ch in order.upper()]
     if sorted(seq) != list(range(len(PARTY_NAMES))):
         raise ValueError(f"{order!r} is not an ordering of {PARTY_NAMES}")
-    spaces = party_spaces() + [LabeledSpace("t_f", 2)]
-    chain = _chain_ket(seq, [(target, [f"{PARTY_NAMES[seq[0]]}_I"])], [], spaces)
-    readout = basis_state(p, answer_y).reshape(p, 1)
-    return ProcessMatrix(effective_spaces(p), np.kron(chain.reshape(-1, 2), readout))
+    e_y = basis_state(4, answer_y).reshape(4, 1)
+    return ProcessMatrix(np.kron(_chain(seq, target).reshape(-1, 2), e_y))
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +175,13 @@ def oracle_choi_ket(oracle: OracleSet) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class WitnessOperator:
     """Convex combination of transposed oracle Choi projectors tagged with
-    their promised readout outcome; expectation against an effective process
-    is the algorithm's success probability."""
+    their promised outcome on a four-outcome readout; expectation against an
+    effective process is the algorithm's success probability."""
 
-    spaces: tuple[LabeledSpace, ...]
+    P = 4  # readout dimension
     components: tuple[tuple[OracleSet, int, float], ...]
 
-    def __init__(self, spaces, components):
+    def __init__(self, components):
         components = tuple((o, int(y), float(q)) for o, y, q in components)
         if not components:
             raise ValueError("witness needs at least one component")
@@ -214,41 +190,30 @@ class WitnessOperator:
             raise ValueError("weights must be finite")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be nonnegative and sum to 1")
-        if "c" not in [s.label for s in spaces]:
-            raise ValueError("witness spaces have no readout space 'c'")
-        p = spaces[space_index(spaces, "c")].dim
         for o, y, _ in components:
             if o.N != 4 or o.dim != 2:
                 raise ValueError("witness components need four qubit gates")
-            if not 0 <= y < p:
-                raise ValueError(f"outcome {y} out of range for readout dim {p}")
-        object.__setattr__(self, "spaces", tuple(spaces))
+            if not 0 <= y < self.P:
+                raise ValueError(f"outcome {y} out of range for readout dim {self.P}")
         object.__setattr__(self, "components", components)
 
     def matrix(self) -> np.ndarray:
-        """Dense form: sum_k q_k (|U_k>><<U_k|)^T (x) |y_k><y_k|, with the
-        readout factor at the position of space ``c``."""
-        c = space_index(self.spaces, "c")
-        dims = space_dims(self.spaces)
-        p = dims[c]
-        d = int(np.prod(dims)) // p
-        out = np.zeros((p, d, p, d), dtype=complex)
+        """Dense form: sum_k q_k (|U_k>><<U_k|)^T (x) |y_k><y_k|."""
+        p = self.P
+        out = np.zeros((PARTY_DIM, p, PARTY_DIM, p), dtype=complex)
         for y in range(p):
             comps = [(o, q) for o, yk, q in self.components if yk == y]
             if comps:
                 # columns are the transposed projectors' kets
                 b = np.array([oracle_choi_ket(o) for o, _ in comps]).conj().T
                 q = np.array([q for _, q in comps])
-                out[y, :, y, :] = (b * q) @ b.conj().T
-        # move the readout axis from first to its place among the spaces
-        order = [p] + dims[:c] + dims[c + 1:]
-        out = np.moveaxis(out.reshape(order + order), [0, len(dims)], [c, len(dims) + c])
-        return out.reshape(d * p, d * p)
+                out[:, y, :, y] = (b * q) @ b.conj().T
+        return out.reshape(PARTY_DIM * p, PARTY_DIM * p)
 
 
 def witness_operator(components) -> WitnessOperator:
-    """Build a witness on the standard (parties, c) spaces."""
-    return WitnessOperator(effective_spaces(4), components)
+    """Build a witness from (oracle, outcome, weight) triples."""
+    return WitnessOperator(components)
 
 
 def uniform_witness(oracles) -> WitnessOperator:
@@ -267,36 +232,27 @@ class Superinstrument:
     """Per-outcome blocks W[y] = Tr_c[(1 (x) |y><y|) W] over the party spaces."""
 
     parts: tuple[np.ndarray, ...]
-    spaces: tuple[LabeledSpace, ...]
 
     @property
     def total_trace(self) -> float:
         return float(sum(np.trace(w).real for w in self.parts))
 
 
-def _readout_blocks(w: ProcessMatrix):
-    """Rows of the factor grouped by readout outcome, shape (p, d/p, r) with
-    block y over the party spaces in order, plus those spaces."""
-    if "c" not in w.labels():
-        raise ValueError("process has no readout space 'c'")
-    c = space_index(w.spaces, "c")
-    dims = space_dims(w.spaces)
-    r = w.factor.shape[1]
-    blocks = np.moveaxis(w.factor.reshape(dims + [r]), c, 0).reshape(dims[c], -1, r)
-    return blocks, w.spaces[:c] + w.spaces[c + 1:]
+def _readout_blocks(w: ProcessMatrix) -> np.ndarray:
+    """Rows of the factor grouped by readout outcome, shape (P, 256, r)."""
+    return w.factor.reshape(PARTY_DIM, w.P, -1).swapaxes(0, 1)
 
 
 def superinstrument(w: ProcessMatrix) -> Superinstrument:
-    blocks, kept = _readout_blocks(w)
-    return Superinstrument(tuple(b @ b.conj().T for b in blocks), kept)
+    return Superinstrument(tuple(b @ b.conj().T for b in _readout_blocks(w)))
 
 
 def success_probability(w: ProcessMatrix, g: WitnessOperator) -> float:
     """Tr[G W] = sum_k q_k ||U_k>>^T A_{y_k}|^2, where A_y holds the factor
     rows at readout outcome y and |U_k>> is the oracle's Choi ket."""
-    if w.labels() != [s.label for s in g.spaces] or space_dims(w.spaces) != space_dims(g.spaces):
-        raise ValueError("witness and process spaces do not match")
-    blocks, _ = _readout_blocks(w)
+    if w.P != g.P:
+        raise ValueError(f"witness readout dim {g.P} does not match process readout dim {w.P}")
+    blocks = _readout_blocks(w)
     val = 0.0
     for oracle, y, q in g.components:
         amp = oracle_choi_ket(oracle) @ blocks[y]
@@ -335,19 +291,14 @@ class CcgoReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _identity_residual(mat: np.ndarray, spaces, out_label: str) -> float:
-    """Max-norm distance of ``mat`` from (Tr_out mat)/2 (x) 1 on out_label."""
-    dims = space_dims(spaces)
-    k = len(dims)
-    i = space_index(spaces, out_label)
-    reduced = partial_trace(mat, spaces, {out_label}) / spaces[i].dim
-    # re-insert the identity factor at position i
-    rest = [j for j in range(k) if j != i]
-    expanded = np.kron(reduced, np.eye(spaces[i].dim))
-    order = rest + [i]
-    inverse = [order.index(j) for j in range(k)]
-    expanded = reorder_matrix(expanded, [dims[j] for j in order], inverse)
-    return float(np.max(np.abs(mat - expanded)))
+def _identity_residual(t: np.ndarray, i: int) -> float:
+    """Max-norm distance of the operator tensor ``t`` (n row qubit axes, then
+    n column qubit axes) from (Tr_i t)/2 (x) 1 on qubit i."""
+    n = t.ndim // 2
+    t = np.moveaxis(t, [i, n + i], [0, 1])
+    r = (t[0, 0] + t[1, 1]) / 2
+    return float(max(np.abs(t[0, 0] - r).max(), np.abs(t[1, 1] - r).max(),
+                     np.abs(t[0, 1]).max(), np.abs(t[1, 0]).max()))
 
 
 def verify_ccgo_decomposition(parts, tolerance: float = 1e-9) -> CcgoReport:
@@ -362,14 +313,11 @@ def verify_ccgo_decomposition(parts, tolerance: float = 1e-9) -> CcgoReport:
     keys = {tuple(k) for k in parts.keys()}
     if keys != set(orderings):
         raise ValueError("need exactly the 24 orderings of A, B, C, D as keys")
-    spaces_c = effective_spaces(4)
-    d = int(np.prod(space_dims(spaces_c)))
+    d = PARTY_DIM * 4
     checks: list[ConstraintCheck] = []
     total_trace = 0.0
 
-    def spaces_for(slots):
-        return [s for s in party_spaces() if s.label.split("_")[0] in slots]
-
+    # operator tensors (2,)*2k over the party qubits of the k slots left
     reduced: dict[tuple, np.ndarray] = {}
     for key in orderings:
         mat = np.asarray(parts[key], dtype=complex)
@@ -390,7 +338,8 @@ def verify_ccgo_decomposition(parts, tolerance: float = 1e-9) -> CcgoReport:
         psd_ok = herm_res <= tolerance and eig_defect <= tolerance
         checks.append(ConstraintCheck(f"psd[{''.join(key)}]", psd_ok,
                                       max(herm_res, eig_defect)))
-        reduced[key] = partial_trace(mat, spaces_c, {"c"})
+        readout_traced = np.trace(mat.reshape(PARTY_DIM, 4, PARTY_DIM, 4), axis1=1, axis2=3)
+        reduced[key] = readout_traced.reshape((2,) * 16)
 
     # prefix lengths 4 -> 1: each reduced part must be identity on the output
     # of its prefix's last slot; tracing that slot out and summing over the
@@ -399,11 +348,15 @@ def verify_ccgo_decomposition(parts, tolerance: float = 1e-9) -> CcgoReport:
         shorter: dict[tuple, np.ndarray] = {}
         for prefix in sorted(reduced):
             last = prefix[-1]
-            spaces = spaces_for(prefix)
-            res = _identity_residual(reduced[prefix], spaces, f"{last}_O")
+            t = reduced[prefix]
+            n = t.ndim // 2
+            i = 2 * sorted(prefix).index(last)  # axis of last_I; last_O is next
+            res = _identity_residual(t, i + 1)
             checks.append(ConstraintCheck(f"reduced[{''.join(prefix)}] = ~W (x) 1[{last}_O]",
                                           res <= tolerance, res))
-            tr = partial_trace(reduced[prefix], spaces, {f"{last}_I", f"{last}_O"})
+            # the slot's two qubits as one axis of dimension 4, traced at once
+            side = (2 ** i, 4, 2 ** (n - i - 2))
+            tr = np.trace(t.reshape(side + side), axis1=1, axis2=4).reshape((2,) * (2 * n - 4))
             head = prefix[:-1]
             shorter[head] = shorter[head] + tr if head in shorter else tr
         reduced = shorter

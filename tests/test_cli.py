@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 
@@ -309,6 +310,24 @@ def test_witness_components_file_rejects_non_finite_weight(capsys, tmp_path):
     code, _, err = run_cli(capsys, "witness", "--components", str(path))
     assert code == 2
     assert "weights must be finite" in err
+
+
+def test_witness_rejects_orderings_of_three_slots(capsys, tmp_path):
+    path = tmp_path / "perms.json"
+    path.write_text(json.dumps(["ABC", "BAC", "CBA", "ACB"]))
+    code, out, err = run_cli(capsys, "witness", "--perms", str(path))
+    assert code == 2 and not out
+    assert "needs orderings of the four slots ABCD" in err
+
+
+def test_witness_rejects_eight_orderings(capsys, tmp_path):
+    # eight orderings give an eight-outcome readout; witnesses read four
+    path = tmp_path / "perms.json"
+    orders = ["".join(o) for o in itertools.permutations("ABCD")][:8]
+    path.write_text(json.dumps(orders))
+    code, out, err = run_cli(capsys, "witness", "--perms", str(path), "--matrix", "sylvester")
+    assert code == 2 and not out
+    assert "witness readout dim 4 does not match process readout dim 8" in err
 
 
 def test_malformed_gate_file_exits_2(capsys, tmp_path):

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from switchlab import (LabeledSpace, OracleSet, PermutationSet, SIGMA_STAR, all_products,
+from switchlab import (OracleSet, PermutationSet, SIGMA_STAR, all_products,
                        ancilla_factor, apply_n_switch, attack_combined,
                        attack_table1, attack_table2, basis_state,
                        build_fixed_circuit, chart_fixture, embed_sequence,
-                       kron_all, partial_trace, pauli, random_state, scs,
+                       kron_all, pauli, random_state, scs,
                        simulate_fixed_circuit, switch_equivalence_fidelity)
 from switchlab.fixed_order import FixedOrderCircuit, _check_circuit, _fidelities, _joint_states
 from switchlab.gates import NamedGate
@@ -134,9 +134,9 @@ def dense_fidelity(circuit, orc, control, psi):
     """<ref| Tr_ancillas |J><J| |ref> from the dense joint density matrix."""
     joint = simulate_fixed_circuit(circuit, orc, control, psi)
     p, d = circuit.perms.P, orc.dim
-    ancillas = [LabeledSpace(f"anc{i}", d) for i in range(orc.N)]
-    spaces = [LabeledSpace("ctrl", p), LabeledSpace("target", d)] + ancillas
-    rho = partial_trace(np.outer(joint, joint.conj()), spaces, {s.label for s in ancillas})
+    # (ctrl, target) rows and the N ancillas merged into one axis
+    outer = np.outer(joint, joint.conj()).reshape(p * d, d ** orc.N, p * d, d ** orc.N)
+    rho = np.einsum("iaja->ij", outer)
     reference = apply_n_switch(control, psi, orc, circuit.perms)
     return float(np.real(reference.conj() @ rho @ reference))
 

@@ -6,18 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from switchlab import (LabeledSpace, OracleSet, SIGMA_STAR, all_products,
-                       basis_state, build_effective_ket,
-                       build_effective_process, build_switch_process_ket,
-                       chart_fixture, choi_vector, definite_order_process,
-                       oracle_choi_ket, random_state, run_hadamard_algorithm,
-                       success_probability, superinstrument, uniform_witness,
-                       verify_ccgo_decomposition, witness_operator)
+from switchlab import (OracleSet, SIGMA_STAR, all_products, basis_state,
+                       build_effective_ket, build_effective_process,
+                       build_switch_process_ket, chart_fixture, choi_vector,
+                       definite_order_process, kron_all, oracle_choi_ket,
+                       random_state, run_hadamard_algorithm, success_probability,
+                       superinstrument, uniform_witness, verify_ccgo_decomposition,
+                       witness_operator)
 from switchlab.gates import NamedGate
-from switchlab.linalg import random_unitary, reorder_matrix, reorder_vector
-from switchlab.processes import (PARTY_LABELS, ProcessMatrix, WitnessOperator,
-                                 effective_spaces, party_spaces,
-                                 switch_process_spaces)
+from switchlab.linalg import random_unitary
+from switchlab.processes import ProcessMatrix, WitnessOperator
+
+LINK = np.array([1, 0, 0, 1], dtype=complex)
+QUBITS = [f"{s}_{io}" for s in "ABCD" for io in "IO"]
 
 
 def random_oracle(rng):
@@ -39,30 +40,43 @@ def test_switch_ket_norm():
     assert abs(np.vdot(w4, w4).real - 128.0) < 1e-9
 
 
-def test_switch_ket_third_branch_wiring():
-    # ordering x=2 is CBDA: t_p -> C_I, C_O -> B_I, B_O -> D_I, D_O -> A_I, A_O -> t_f
-    w4 = build_switch_process_ket(SIGMA_STAR)
-    spaces = switch_process_spaces(4)
-    dims = [s.dim for s in spaces]
-    t = w4.reshape(dims)
-    branch = t[2, ..., 2]  # c_p = c_f = 2, axes (t_p, parties..., t_f)
-    labels = ["t_p"] + list(PARTY_LABELS) + ["t_f"]
-    link = np.array([1, 0, 0, 1], dtype=complex)
-    expected = np.ones((1,), dtype=complex)
-    chain = ["t_p", "C_I", "C_O", "B_I", "B_O", "D_I", "D_O", "A_I", "A_O", "t_f"]
-    for _ in range(5):
-        expected = np.kron(expected, link)
-    expected_t = reorder_vector(expected, [2] * 10,
-                                [chain.index(lab) for lab in labels])
-    assert_allclose(branch.reshape(-1), expected_t, atol=1e-12)
+def kron_chain(order, head, extra=()):
+    """Reference wiring: ``head`` (a ket on the ``extra`` legs and the first
+    slot's input), then one link per slot in wiring order, as one Kronecker
+    product, its legs transposed to (extra, parties, t_f)."""
+    labels = list(extra) + [f"{s}_{io}" for s in order for io in "IO"] + ["t_f"]
+    vec = kron_all([head] + [LINK] * len(order)).reshape([2] * len(labels))
+    return vec.transpose([labels.index(lab) for lab in [*extra, *QUBITS, "t_f"]]).reshape(-1)
+
+
+@pytest.mark.parametrize("x", range(4))
+def test_switch_ket_branch_wiring(x):
+    # branch x links t_p to its first slot's input, each output to the next
+    # input and the last output to t_f; x = 2 is CBDA: t_p -> C_I,
+    # C_O -> B_I, B_O -> D_I, D_O -> A_I, A_O -> t_f
+    t = build_switch_process_ket(SIGMA_STAR).reshape([4, 2] + [2] * 9 + [4])
+    branch = t[x, ..., x]  # c_p = c_f = x, axes (t_p, parties..., t_f)
+    order = SIGMA_STAR.to_strings()[x]
+    assert_allclose(branch.reshape(-1), kron_chain(order, LINK, ["t_p"]), atol=1e-12)
+    for x2 in range(4):
+        if x2 != x:
+            assert not np.any(t[x, ..., x2])
+
+
+@pytest.mark.parametrize("order", ["ABCD", "CBDA", "DACB", "BDAC"])
+def test_definite_order_comb_matches_kron_reference(order):
+    psi = random_state(2, np.random.default_rng(11))
+    chain = kron_chain(order, psi).reshape(256, 2)
+    for y in range(4):
+        expected = np.kron(chain, basis_state(4, y).reshape(4, 1))
+        assert_allclose(definite_order_process(order, psi, y).factor, expected, atol=1e-12)
 
 
 def test_switch_ket_contraction_reproduces_products():
     # contracting the gate Choi vectors against branch x leaves the Choi
     # vector of the ordering product on (t_p, t_f)
     w4 = build_switch_process_ket(SIGMA_STAR)
-    spaces = switch_process_spaces(4)
-    dims = [s.dim for s in spaces]
+    dims = [4, 2] + [2] * 9 + [4]
     rng = np.random.default_rng(0)
     orc = random_oracle(rng)
     # the dual of the transposed-projector convention: the bra applied to the
@@ -104,20 +118,20 @@ def test_effective_process_trace_and_rank(m4, w_eff):
 
 
 def test_process_factor_validation():
-    with pytest.raises(ValueError, match="does not match spaces"):
-        ProcessMatrix(effective_spaces(4), np.ones((1023, 2)))
-    with pytest.raises(ValueError, match="does not match spaces"):
-        ProcessMatrix(effective_spaces(4), np.ones(1024))
+    with pytest.raises(ValueError, match="256"):
+        ProcessMatrix(np.ones((1023, 2)))
+    with pytest.raises(ValueError, match="256"):
+        ProcessMatrix(np.ones(1024))
     bad = np.ones((1024, 2), dtype=complex)
     bad[5, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        ProcessMatrix(effective_spaces(4), bad)
+        ProcessMatrix(bad)
 
 
 def test_process_spaces_have_declared_dimensions(w_eff):
-    assert [s.label for s in w_eff.spaces] == list(PARTY_LABELS) + ["c"]
-    assert all(s.dim == 2 for s in w_eff.spaces[:-1])
-    assert w_eff.spaces[-1].dim == 4
+    # 256 party rows (eight qubits) for each of the P = 4 readout outcomes
+    assert w_eff.P == 4
+    assert w_eff.factor.shape == (256 * 4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -251,54 +265,24 @@ def test_witness_value_matches_switch_for_random_oracles(m4, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(rank=st.integers(1, 4), c_at=st.integers(0, 8), n=st.integers(1, 3),
-       seed=st.integers(0, 2**32 - 1))
-def test_factored_evaluation_matches_dense(rank, c_at, n, seed):
-    # c_at is the position of the readout space among the nine
+@given(rank=st.integers(1, 4), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_factored_evaluation_matches_dense(rank, n, seed):
     rng = np.random.default_rng(seed)
-    parties = party_spaces()
-    spaces = parties[:c_at] + [LabeledSpace("c", 4)] + parties[c_at:]
     a = rng.normal(size=(1024, rank)) + 1j * rng.normal(size=(1024, rank))
     a /= 4.0 * np.linalg.norm(a)    # Tr W = 1/16 keeps Tr[G W] within [0, 1]
-    w = ProcessMatrix(spaces, a)
+    w = ProcessMatrix(a)
     comps = [(random_oracle(rng), int(rng.integers(0, 4)), q)
              for q in rng.dirichlet(np.ones(n))]
-    g = WitnessOperator(spaces, comps)
-    order = list(range(c_at)) + [8] + list(range(c_at, 8))
-    dense_g = reorder_matrix(_kron_witness(comps), [2] * 8 + [4], order)
+    g = WitnessOperator(comps)
+    dense_g = _kron_witness(comps)
     assert_allclose(g.matrix(), dense_g, atol=1e-12)
     dense = float(np.real(np.sum(dense_g * w.matrix.T)))
     assert abs(success_probability(w, g) - dense) < 1e-12
 
     si = superinstrument(w)
-    assert si.spaces == tuple(parties)
-    m = w.matrix.reshape([s.dim for s in spaces] * 2)
+    m = w.matrix.reshape(256, 4, 256, 4)
     for y in range(4):
-        block = np.take(np.take(m, y, axis=9 + c_at), y, axis=c_at)
-        assert_allclose(si.parts[y], block.reshape(256, 256), atol=1e-14)
-
-
-def test_witness_with_readout_first_matches_readout_last():
-    rng = np.random.default_rng(8)
-    parties = party_spaces()
-    last = parties + [LabeledSpace("c", 4)]
-    first = [LabeledSpace("c", 4)] + parties
-    a = rng.normal(size=(1024, 2)) + 1j * rng.normal(size=(1024, 2))
-    a /= 4.0 * np.linalg.norm(a)
-    a_first = np.moveaxis(a.reshape([2] * 8 + [4, 2]), 8, 0).reshape(1024, 2)
-    comps = [(random_oracle(rng), 3, 0.6), (random_oracle(rng), 1, 0.4)]
-    g = WitnessOperator(first, comps)
-    w = ProcessMatrix(first, a_first)
-    dense = float(np.real(np.sum(g.matrix() * w.matrix.T)))
-    value = success_probability(w, g)
-    assert abs(value - dense) < 1e-12
-    assert abs(value - success_probability(ProcessMatrix(last, a), WitnessOperator(last, comps))) < 1e-12
-
-
-def test_witness_requires_readout_space():
-    with pytest.raises(ValueError, match="no readout space"):
-        WitnessOperator(party_spaces() + [LabeledSpace("x", 4)],
-                        [(chart_fixture("table1")[0], 0, 1.0)])
+        assert_allclose(si.parts[y], m[:, y, :, y], atol=1e-14)
 
 
 def test_structured_evaluation_matches_dense_trace(w_eff):
@@ -322,14 +306,12 @@ def test_superinstrument_parts_sum_to_total_trace(w_eff):
 
 def test_superinstrument_extracts_diagonal_blocks():
     rng = np.random.default_rng(5)
-    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    a = rng.normal(size=(1024, 16)) + 1j * rng.normal(size=(1024, 16))
     rho = a @ a.conj().T
-    spaces = [LabeledSpace("A_I", 2), LabeledSpace("A_O", 2), LabeledSpace("c", 4)]
-    w = ProcessMatrix(spaces, a)
-    si = superinstrument(w)
-    arr = rho.reshape(4, 4, 4, 4)
+    si = superinstrument(ProcessMatrix(a))
+    arr = rho.reshape(256, 4, 256, 4)
     for y in range(4):
-        assert_allclose(si.parts[y], arr[:, y, :, y])
+        assert_allclose(si.parts[y], arr[:, y, :, y], atol=1e-12)
 
 
 def test_superinstrument_consistency_on_random_process():
@@ -337,7 +319,7 @@ def test_superinstrument_consistency_on_random_process():
     rng = np.random.default_rng(6)
     a = rng.normal(size=(1024, 64)) + 1j * rng.normal(size=(1024, 64))
     a *= 4.0 / np.linalg.norm(a)
-    w = ProcessMatrix(effective_spaces(4), a)
+    w = ProcessMatrix(a)
     orc = random_oracle(rng)
     g = witness_operator([(orc, 1, 1.0)])
     dense = float(np.real(np.einsum("ab,ba->", g.matrix(), w.matrix)))
@@ -354,10 +336,13 @@ def _witness_blocks(g: WitnessOperator):
     return [mat[:, y, :, y] for y in range(4)]
 
 
-def test_superinstrument_requires_readout_space():
-    w = ProcessMatrix(party_spaces(), np.eye(256))
-    with pytest.raises(ValueError, match="readout"):
-        superinstrument(w)
+def test_process_rows_must_be_whole_readout_blocks():
+    # 256 party rows per readout outcome: anything else has no readout layout
+    for rows in (0, 255, 256 * 4 + 128):
+        with pytest.raises(ValueError, match="256"):
+            ProcessMatrix(np.ones((rows, 2)))
+    w8 = ProcessMatrix(np.eye(256 * 8, 3))
+    assert w8.P == 8 and len(superinstrument(w8).parts) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -465,3 +450,60 @@ def test_verifier_counts_constraints():
     report = verify_ccgo_decomposition(_zero_parts())
     # 24 psd + 24 + 24 + 12 + 4 product-form constraints
     assert len(report.checks) == 88
+
+
+def _dense_partial_trace(mat, labels, traced):
+    """Reference partial trace of ``mat`` over the qubits named in ``traced``;
+    ``labels`` names its qubits in order.  Returns the kept labels too."""
+    k = len(labels)
+    keep = [j for j, lab in enumerate(labels) if lab not in traced]
+    col = [j if labels[j] in traced else k + j for j in range(k)]
+    out = np.einsum(mat.reshape([2] * 2 * k), list(range(k)) + col,
+                    keep + [k + j for j in keep])
+    return out.reshape(2 ** len(keep), 2 ** len(keep)), [labels[j] for j in keep]
+
+
+def _dense_identity_residual(mat, labels, out):
+    """max |mat - (Tr_out mat)/2 (x) 1_out|, the identity put back in place."""
+    reduced, kept = _dense_partial_trace(mat, labels, {out})
+    k = len(labels)
+    back = [(kept + [out]).index(lab) for lab in labels]
+    expanded = np.kron(reduced / 2, np.eye(2)).reshape([2] * 2 * k)
+    expanded = expanded.transpose(back + [k + j for j in back]).reshape(mat.shape)
+    return float(np.max(np.abs(mat - expanded)))
+
+
+@settings(max_examples=6, deadline=None)
+@given(count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_verifier_level_residuals_match_dense_reference(count, seed):
+    # random rank-3 PSD parts on a few orderings, zero parts elsewhere
+    rng = np.random.default_rng(seed)
+    orderings = list(itertools.permutations("ABCD"))
+    parts = _zero_parts()
+    for idx in rng.choice(len(orderings), size=count, replace=False):
+        a = rng.normal(size=(1024, 3)) + 1j * rng.normal(size=(1024, 3))
+        a /= np.linalg.norm(a)
+        parts[orderings[idx]] = (a * rng.uniform(0.1, 1.0, size=3)) @ a.conj().T
+
+    # readout traced on the [2]*8 + [4] layout: axis 8 is c on both sides
+    reduced = {key: np.einsum(mat.reshape([2] * 8 + [4] + [2] * 8 + [4]),
+                              list(range(9)) + list(range(9, 17)) + [8],
+                              list(range(8)) + list(range(9, 17))).reshape(256, 256)
+               for key, mat in parts.items()}
+    expected = {}
+    for _ in range(4):
+        shorter = {}
+        for prefix in sorted(reduced):
+            last = prefix[-1]
+            labels = [f"{s}_{io}" for s in sorted(prefix) for io in "IO"]
+            name = f"reduced[{''.join(prefix)}] = ~W (x) 1[{last}_O]"
+            expected[name] = _dense_identity_residual(reduced[prefix], labels, f"{last}_O")
+            tr, _ = _dense_partial_trace(reduced[prefix], labels, {f"{last}_I", f"{last}_O"})
+            shorter[prefix[:-1]] = shorter.get(prefix[:-1], 0) + tr
+        reduced = shorter
+
+    report = verify_ccgo_decomposition(parts, tolerance=1e-9)
+    got = {c.name: c.residual for c in report.checks if c.name.startswith("reduced")}
+    assert list(got) == list(expected)
+    for name, value in expected.items():
+        assert abs(got[name] - value) <= 1e-12, name
