@@ -45,12 +45,12 @@ zero = np.zeros((1024, 1024), dtype=complex)
 parts = {key: zero for key in itertools.permutations("ABCD")}
 parts[("A", "B", "C", "D")] = definite_order_process(
     "ABCD", basis_state(2, 0), answer_y=0).matrix
-report = verify_ccgo_decomposition(parts, tolerance=1e-9)
+report = verify_ccgo_decomposition(parts)
 print(f"definite-order comb: {len(report.checks)} constraints, "
       f"passed = {report.passed}, trace = {report.trace:.1f}")
 
 parts[("A", "B", "C", "D")] = process.matrix
-report = verify_ccgo_decomposition(parts, tolerance=1e-9)
+report = verify_ccgo_decomposition(parts)
 print(f"controlled-ordering process in one slot: passed = {report.passed}")
 print("first violated constraints:",
       [c.name for c in report.failures()[:3]])

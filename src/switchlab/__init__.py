@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "gates": ("NamedGate", "SignMatrix", "fourier_matrix", "gate_set_G", "hadamard_m4",
               "pauli", "sylvester_hadamard"),
-    "linalg": ("ATOL", "InvariantViolation", "basis_state", "choi_vector", "fidelity",
-               "kron_all", "random_state", "random_unitary"),
+    "linalg": ("ATOL", "InvariantViolation", "basis_state", "choi_vector", "kron_all",
+               "random_state", "random_unitary"),
     "oracles": ("EnumerationCensus", "EquivalenceClassification", "PromiseVerdict",
                 "bloch_rotation", "chart_fixture", "check_promise", "enumerate_promise_sets",
                 "equivalence_classes", "find_conjugator", "find_rotation_conjugator",
@@ -35,8 +35,8 @@ _EXPORTS = {
     "supersequences": ("QuartetCensus", "SupersequenceResult", "embed_sequence",
                        "is_supersequence", "quartet_census", "scs"),
     "switch": ("NoiseModel", "OracleSet", "PermutationSet", "RunResult", "SIGMA_STAR",
-               "all_products", "apply_n_switch", "dimension_constraint_ok",
-               "run_fourier_algorithm", "run_hadamard_algorithm", "sample_shots"),
+               "all_products", "apply_n_switch", "run_fourier_algorithm",
+               "run_hadamard_algorithm", "sample_shots"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from .gates import NamedGate, SignMatrix, gate_set_G, hadamard_m4, pauli, sylvester_hadamard
-from .linalg import InvariantViolation, basis_state
+from .linalg import FIDELITY_FLOOR, InvariantViolation, basis_state
 from .switch import (NoiseModel, OracleSet, PermutationSet, SIGMA_STAR,
                      run_hadamard_algorithm, sample_shots)
 
@@ -181,8 +181,7 @@ def cmd_run(args) -> dict:
     perms = resolve_perms(args.perms)
     oracle = resolve_oracle(args.table, args.column, perms.P)
     matrix = resolve_matrix(args.matrix, perms.P)
-    noise = NoiseModel(gamma=args.gamma, epsilon=args.epsilon,
-                       seed=args.seed if args.seed is not None else 0)
+    noise = NoiseModel(gamma=args.gamma, epsilon=args.epsilon)
     result = run_hadamard_algorithm(oracle, perms, matrix, basis_state(2, 0), noise)
     out = {
         "distribution": [round(float(p), 12) for p in result.outcome_distribution],
@@ -190,8 +189,7 @@ def cmd_run(args) -> dict:
         "success_probability": round(float(result.success_probability), 12),
     }
     if args.shots is not None:
-        seed = args.seed if args.seed is not None else noise.seed
-        counts = sample_shots(result, args.shots, seed)
+        counts = sample_shots(result, args.shots, args.seed if args.seed is not None else 0)
         out["histogram"] = [int(c) for c in counts]
         out["shots"] = args.shots
     return out
@@ -206,8 +204,8 @@ def cmd_circuit(args) -> dict:
     circuit = build_fixed_circuit(superseq, perms)
     control = np.full(perms.P, 1.0 / np.sqrt(perms.P), dtype=complex)
     fidelity = switch_equivalence_fidelity(circuit, oracle, control, basis_state(2, 0))
-    if fidelity < 1.0 - 1e-10:
-        raise InvariantViolation(f"circuit/switch fidelity {fidelity} below 1 - 1e-10")
+    if fidelity < 1.0 - FIDELITY_FLOOR:
+        raise InvariantViolation(f"circuit/switch fidelity {fidelity} below 1 - {FIDELITY_FLOOR}")
     return {
         "supersequence": circuit.supersequence,
         "circuit_queries": circuit.query_count,

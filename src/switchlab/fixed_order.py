@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import InvariantViolation, as_state, basis_state, kron_all
+from .linalg import EXACT_TEST_TOL, InvariantViolation, as_state, basis_state, kron_all
 from .oracles import chart_fixture
 from .supersequences import SupersequenceResult
 from .switch import _LABELS, OracleSet, PermutationSet, _branch_rows, _ordering_products
@@ -184,7 +184,7 @@ def _exact_test(state_out: np.ndarray, basis: str) -> int:
     probabilities 0 or 1, which is asserted."""
     ref = _PLUS if basis == "X" else _ZERO
     p_plus = abs(np.vdot(ref, state_out)) ** 2
-    if min(p_plus, 1.0 - p_plus) > 1e-9:
+    if min(p_plus, 1.0 - p_plus) > EXACT_TEST_TOL:
         raise InvariantViolation(f"{basis}-basis test outcome is not deterministic")
     return 1 if p_plus > 0.5 else -1
 
@@ -200,7 +200,7 @@ def _expect_column(oracle: OracleSet, table: str, y: int) -> None:
     for fix in chart_fixture(table):
         if fix.claimed_y != y:
             continue
-        if all(np.max(np.abs(a.matrix - b.matrix)) <= 1e-9
+        if all(np.max(np.abs(a.matrix - b.matrix)) <= EXACT_TEST_TOL
                for a, b in zip(oracle.gates, fix.gates)):
             return
     raise ValueError(f"oracle is not column {y} of {table}")

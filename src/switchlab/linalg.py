@@ -7,11 +7,12 @@ Conventions used throughout the package:
   factor, so a kron over a factor list reproduces the listed order; each
   module fixes its own factor order (see ``processes`` for the process
   side).
-* Comparisons use absolute max-norm tolerance ``ATOL`` (1e-10) unless a
-  function documents otherwise.  Every quantity in this project is O(1) in
-  magnitude and at most 2048-dimensional.  Kets and gates are stored dense;
-  process matrices are stored as factors (see ``processes``), because a
-  dense 1024x1024 process of rank <= 2 wastes both memory and time.
+* Every tolerance is an entry of the table below; no function takes one.
+  Functions read their entry when called.  Every quantity in this project
+  is O(1) in magnitude and at most 2048-dimensional.  Kets and gates are
+  stored dense; process matrices are stored as factors (see
+  ``processes``), because a dense 1024x1024 process of rank <= 2 wastes
+  both memory and time.
 
 All functions are pure and never mutate their inputs.
 """
@@ -19,7 +20,19 @@ from __future__ import annotations
 
 import numpy as np
 
-ATOL = 1e-10
+# The tolerance table: each threshold of the package, once, with its reason.
+# Exact results carry float error near 1e-15, far inside every entry.
+ATOL = 1e-10                # max-norm unitarity defect of gates, norm defect of states
+PROMISE_TOL = 1e-9          # ordering products vs +-1 times the reference product
+CONJUGATOR_TOL = 1e-8       # certificates may miss exact conjugation by this
+KEY_DECIMALS = 8            # float noise never splits a rounded key; every merge is verified anyway
+DEGENERATE = 1e-6           # shorter vectors span no frame axis; |q0| below it marks a half turn
+PROBABILITY_TOL = 1e-9      # outcome distributions and witness weights: negativity, sum to 1
+WITNESS_RANGE_TOL = 1e-8    # a witness value may leave [0, 1] by this before it is an error
+CCGO_TOL = 1e-9             # CCGO verifier residuals, and the Cholesky shift of its PSD check
+CCGO_TRACE_RTOL = 1e-8      # relative slack of the parts' total trace against 2**N
+EXACT_TEST_TOL = 1e-9       # attack tests are deterministic and fixtures match exactly
+FIDELITY_FLOOR = 1e-10      # the fixed-order circuit reproduces the switch to 1 - this
 
 
 class InvariantViolation(RuntimeError):
@@ -34,42 +47,39 @@ def kron_all(factors) -> np.ndarray:
     return out
 
 
-def is_unitary(u: np.ndarray, tol: float = ATOL) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol)
+    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= ATOL)
 
 
-def require_unitary(u: np.ndarray, tol: float = ATOL, what: str = "matrix") -> np.ndarray:
+def require_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if not np.all(np.isfinite(u)):
         raise ValueError(f"{what} has non-finite entries")
-    if not is_unitary(u, tol):
-        raise ValueError(f"{what} is not unitary within {tol}")
+    if not is_unitary(u):
+        raise ValueError(f"{what} is not unitary within {ATOL}")
     return u
 
 
-def as_state(amplitudes, tol: float = ATOL) -> np.ndarray:
+def as_state(amplitudes) -> np.ndarray:
     """Validate and return a normalized pure-state vector."""
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if not np.all(np.isfinite(v)):
         raise ValueError("state has non-finite amplitudes")
     n = np.linalg.norm(v)
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"state norm {n} deviates from 1 by more than {tol}")
+    if abs(n - 1.0) > ATOL:
+        raise ValueError(f"state norm {n} deviates from 1 by more than {ATOL}")
     return v
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:
+    if not 0 <= index < dim:
+        raise ValueError(f"basis index {index} outside [0, {dim})")
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return v
-
-
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>|^2 for pure states."""
-    return float(abs(np.vdot(np.asarray(a), np.asarray(b))) ** 2)
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gates import NamedGate, SignMatrix, pauli
-from .linalg import InvariantViolation
+from .linalg import CONJUGATOR_TOL, DEGENERATE, KEY_DECIMALS, PROMISE_TOL, InvariantViolation
 from .switch import OracleSet, PermutationSet, all_products
 
-PROMISE_TOL = 1e-9
 _CHUNK = 4096   # assignments, or canonical-form rows, per vectorized batch
 
 
@@ -47,14 +46,13 @@ class PromiseVerdict:
     residual: float
 
 
-def check_promise(oracle: OracleSet, perms: PermutationSet, m: SignMatrix,
-                  tol: float = PROMISE_TOL) -> PromiseVerdict:
+def check_promise(oracle: OracleSet, perms: PermutationSet, m: SignMatrix) -> PromiseVerdict:
     """Test whether every ordering product equals sign * reference product
     for the signs of some column; returns the smallest such column."""
     if m.P != perms.P:
         raise ValueError("sign-matrix order does not match the permutation set")
     residuals = _promise_residuals(all_products(oracle, perms), m.entries.astype(float))
-    hits = np.flatnonzero(residuals <= tol)
+    hits = np.flatnonzero(residuals <= PROMISE_TOL)
     if hits.size:
         y = int(hits[0])
         return PromiseVerdict(True, y, float(residuals[y]))
@@ -92,8 +90,7 @@ def _word_products(words: np.ndarray, g: int, assignments: np.ndarray,
     return words[assignments[:, sigma[:, ::-1]] @ place]
 
 
-def enumerate_promise_sets(gates, perms: PermutationSet, m: SignMatrix,
-                           tol: float = PROMISE_TOL):
+def enumerate_promise_sets(gates, perms: PermutationSet, m: SignMatrix):
     """Check every ordered assignment of the given gates to the N slots.
 
     Returns (census, sets); each satisfying assignment becomes an OracleSet
@@ -114,7 +111,7 @@ def enumerate_promise_sets(gates, perms: PermutationSet, m: SignMatrix,
         rows = np.arange(start, min(start + _CHUNK, len(words)))   # no table of all assignments
         q = np.stack(np.unravel_index(rows, shape), axis=1)
         prods = _word_products(words, len(gates), q, perms.index)
-        ok = _promise_residuals(prods, signs) <= tol
+        ok = _promise_residuals(prods, signs) <= PROMISE_TOL
         for c in np.flatnonzero(ok.any(axis=1)):
             y = int(np.argmax(ok[c]))   # smallest satisfied column
             counts[y] += 1
@@ -184,10 +181,6 @@ def chart_fixture(which: str) -> list[OracleSet]:
 # Conjugation equivalence
 # ---------------------------------------------------------------------------
 
-CONJUGATOR_TOL = 1e-8   # certificates may miss exact conjugation by this; float error is ~1e-15
-_KEY_DECIMALS = 8       # float noise never splits a rounded key; every merge is verified anyway
-_DEGENERATE = 1e-6      # shorter vectors span no frame axis; |q0| below it marks a half turn
-
 _PAULI_VEC = np.stack([pauli(n).matrix for n in "XYZ"])
 _TAU = np.stack([pauli(n).matrix for n in "IXYZ"])
 # flattened u @ _TAU_DUAL = (tr tau_mu u)_mu; with u = c . tau, the Bloch
@@ -215,9 +208,9 @@ def bloch_rotation(u: np.ndarray) -> np.ndarray:
 def _first_long(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``vecs[R, M, 3]``: the first long vector, normalized, and whether one exists."""
     norms = np.linalg.norm(vecs, axis=-1)
-    rows, j = np.arange(len(vecs)), np.argmax(norms > _DEGENERATE, axis=1)
-    return (vecs[rows, j] / np.maximum(norms[rows, j], _DEGENERATE)[:, None],
-            norms[rows, j] > _DEGENERATE)
+    rows, j = np.arange(len(vecs)), np.argmax(norms > DEGENERATE, axis=1)
+    return (vecs[rows, j] / np.maximum(norms[rows, j], DEGENERATE)[:, None],
+            norms[rows, j] > DEGENERATE)
 
 
 def _canonical(rows: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +228,7 @@ def _canonical(rows: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarra
     e2[~found] = fill[~found] / np.linalg.norm(fill[~found], axis=1, keepdims=True)
     frames = np.stack([e1, e2, np.cross(e1, e2)], axis=1)
     coords = (vecs @ frames.swapaxes(1, 2)).reshape(len(rows), -1)
-    keys = np.round(np.concatenate([rows[..., 0], coords], axis=1), _KEY_DECIMALS)
+    keys = np.round(np.concatenate([rows[..., 0], coords], axis=1), KEY_DECIMALS)
     order = np.lexsort((*keys.T[::-1], seg))    # stable: the first of equal keys
     best = order[np.flatnonzero(np.diff(seg, prepend=-1))]
     return keys[best], frames[best]
@@ -257,7 +250,7 @@ def _canonical_forms(mats: np.ndarray, phase_sensitive: bool) -> tuple:
         coef = coef / np.sqrt(np.linalg.det(mats))[..., None]
         units = np.concatenate([coef[..., :1].real, -coef[..., 1:].imag], axis=-1)
         units *= np.where(units[..., :1] < 0, -1.0, 1.0)
-        half, mapped = np.abs(units[..., 0]) <= _DEGENERATE, bloch_rotation(mats)
+        half, mapped = np.abs(units[..., 0]) <= DEGENERATE, bloch_rotation(mats)
     m = units.shape[1]
     keys, frames = np.empty((len(mats), 4 * m)), np.empty((len(mats), 3, 3))
     turns = half.sum(axis=1)
@@ -298,26 +291,24 @@ def _certificates(rep_frames: np.ndarray, member_frames: np.ndarray, reps: np.nd
     return c, _conjugation_errors(c, reps, members)
 
 
-def _pair_certificate(a: OracleSet, b: OracleSet, phase_sensitive: bool,
-                      tol: float) -> np.ndarray | None:
+def _pair_certificate(a: OracleSet, b: OracleSet, phase_sensitive: bool) -> np.ndarray | None:
     if a.N != b.N or a.dim != b.dim:
         raise ValueError("oracle sets must have matching shape")
     _, frames, mapped = _canonical_forms(np.stack([a.matrices(), b.matrices()]), phase_sensitive)
     (c,), (err,) = _certificates(frames[:1], frames[1:], mapped[:1], mapped[1:], phase_sensitive)
-    return c if err <= tol else None
+    return c if err <= CONJUGATOR_TOL else None
 
 
-def find_conjugator(a: OracleSet, b: OracleSet, tol: float = CONJUGATOR_TOL) -> np.ndarray | None:
+def find_conjugator(a: OracleSet, b: OracleSet) -> np.ndarray | None:
     """Unitary V with V U_i V^dag = U'_i exactly (phases included), or None."""
-    return _pair_certificate(a, b, True, tol)
+    return _pair_certificate(a, b, True)
 
 
-def find_rotation_conjugator(a: OracleSet, b: OracleSet,
-                             tol: float = CONJUGATOR_TOL) -> np.ndarray | None:
+def find_rotation_conjugator(a: OracleSet, b: OracleSet) -> np.ndarray | None:
     """Rotation R with R R(U_i) R^T = R(U'_i) for all i: conjugation
     equivalence up to arbitrary per-gate phases.  Returns a proper rotation
     (real orthogonal 3x3 with determinant +1) or None."""
-    return _pair_certificate(a, b, False, tol)
+    return _pair_certificate(a, b, False)
 
 
 @dataclass(frozen=True)
@@ -344,15 +335,14 @@ def _by_shape(shapes: list[tuple]) -> list[list[int]]:
     return list(groups.values())
 
 
-def equivalence_classes(sets, phase_sensitive: bool = True,
-                        tol: float = CONJUGATOR_TOL) -> EquivalenceClassification:
+def equivalence_classes(sets, phase_sensitive: bool = True) -> EquivalenceClassification:
     """Group oracle sets that a single change of basis maps onto each other.
 
     phase_sensitive=True demands exact equality including global phases;
     phase_sensitive=False quotients out per-gate phases by comparing the
     induced Bloch rotations instead.  Each set joins the first class with
     its canonical key whose representative the frame-built conjugator maps
-    onto it within tol.
+    onto it within CONJUGATOR_TOL.
     """
     stacks = [s.matrices() for s in sets]
     forms: list[tuple] = [()] * len(stacks)
@@ -374,7 +364,7 @@ def equivalence_classes(sets, phase_sensitive: bool = True,
                 _, rep_frame, rep_image, *_ = forms[classes[k][0]]
                 (c,), (err,) = _certificates(rep_frame[None], frame[None], rep_image[None],
                                              image[None], phase_sensitive)
-            if err <= tol:
+            if err <= CONJUGATOR_TOL:
                 classes[k].append(i)
                 conjugators[i] = c
                 break
@@ -384,8 +374,7 @@ def equivalence_classes(sets, phase_sensitive: bool = True,
     return EquivalenceClassification(tuple(map(tuple, classes)), phase_sensitive, conjugators)
 
 
-def verify_classification(classification: EquivalenceClassification, sets,
-                          tol: float = CONJUGATOR_TOL) -> None:
+def verify_classification(classification: EquivalenceClassification, sets) -> None:
     """Re-verify every recorded merge: its certificate must be unitary (a
     proper rotation when phases are ignored) and must map the class
     representative onto the member.  Raises InvariantViolation for the first
@@ -406,7 +395,7 @@ def verify_classification(classification: EquivalenceClassification, sets,
         if not strict:
             reps, members = bloch_rotation(reps), bloch_rotation(members)
         err[ns] = _conjugation_errors(certs[ns], reps, members)
-    failed = np.flatnonzero(~(np.maximum(defect, err) <= tol))   # NaN fails too
+    failed = np.flatnonzero(~(np.maximum(defect, err) <= CONJUGATOR_TOL))   # NaN fails too
     if failed.size:
         n = failed[0]
         raise InvariantViolation(

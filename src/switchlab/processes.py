@@ -37,7 +37,8 @@ from functools import cached_property
 import numpy as np
 
 from .gates import SignMatrix
-from .linalg import as_state, basis_state, choi_vector, kron_all
+from .linalg import (CCGO_TOL, CCGO_TRACE_RTOL, PROBABILITY_TOL, WITNESS_RANGE_TOL, as_state,
+                     basis_state, choi_vector, kron_all)
 from .switch import OracleSet, PermutationSet, SIGMA_STAR
 
 PARTY_NAMES = "ABCD"
@@ -46,12 +47,12 @@ PARTY_DIM = 2 ** (2 * len(PARTY_NAMES))  # 256: the eight party qubits
 _EYE = np.eye(2, dtype=complex)
 
 
-def _psd_violation(mat: np.ndarray, tol: float) -> float:
-    """0.0 when the Hermitian part is PSD within tol (cheap Cholesky
+def _psd_violation(mat: np.ndarray) -> float:
+    """0.0 when the Hermitian part is PSD within CCGO_TOL (cheap Cholesky
     certificate of the shifted matrix), else the eigenvalue defect."""
     h = (mat + mat.conj().T) / 2
     try:
-        np.linalg.cholesky(h + tol * np.eye(h.shape[0]))
+        np.linalg.cholesky(h + CCGO_TOL * np.eye(h.shape[0]))
         return 0.0
     except np.linalg.LinAlgError:
         return max(0.0, -float(np.linalg.eigvalsh(h).min()))
@@ -156,9 +157,9 @@ def definite_order_process(order: str, target_in: np.ndarray,
     ``answer_y`` on a four-outcome readout: the baseline every witness is
     scored against."""
     target = as_state(target_in)
-    seq = [PARTY_NAMES.index(ch) for ch in order.upper()]
-    if sorted(seq) != list(range(len(PARTY_NAMES))):
+    if sorted(order.upper()) != list(PARTY_NAMES):
         raise ValueError(f"{order!r} is not an ordering of {PARTY_NAMES}")
+    seq = [PARTY_NAMES.index(ch) for ch in order.upper()]
     e_y = basis_state(4, answer_y).reshape(4, 1)
     return ProcessMatrix(np.kron(_chain(seq, target).reshape(-1, 2), e_y))
 
@@ -188,7 +189,7 @@ class WitnessOperator:
         weights = np.array([q for _, _, q in components])
         if not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
+        if np.any(weights < 0) or abs(weights.sum() - 1.0) > PROBABILITY_TOL:
             raise ValueError("weights must be nonnegative and sum to 1")
         for o, y, _ in components:
             if o.N != 4 or o.dim != 2:
@@ -257,7 +258,7 @@ def success_probability(w: ProcessMatrix, g: WitnessOperator) -> float:
     for oracle, y, q in g.components:
         amp = oracle_choi_ket(oracle) @ blocks[y]
         val += q * float(np.vdot(amp, amp).real)
-    if not -1e-8 <= val <= 1.0 + 1e-8:
+    if not -WITNESS_RANGE_TOL <= val <= 1.0 + WITNESS_RANGE_TOL:
         raise ValueError(f"success probability {val} outside [0, 1]")
     return val
 
@@ -301,7 +302,7 @@ def _identity_residual(t: np.ndarray, i: int) -> float:
                      np.abs(t[0, 1]).max(), np.abs(t[1, 0]).max()))
 
 
-def verify_ccgo_decomposition(parts, tolerance: float = 1e-9) -> CcgoReport:
+def verify_ccgo_decomposition(parts) -> CcgoReport:
     """Check a candidate decomposition {ordering -> matrix over (parties, c)}.
 
     Requirements checked, one named entry each: every part positive
@@ -334,8 +335,8 @@ def verify_ccgo_decomposition(parts, tolerance: float = 1e-9) -> CcgoReport:
         else:
             sub = mat if support.size == d else mat[np.ix_(support, support)]
             herm_res = float(np.max(np.abs(sub - sub.conj().T)))
-            eig_defect = _psd_violation(sub, tolerance)
-        psd_ok = herm_res <= tolerance and eig_defect <= tolerance
+            eig_defect = _psd_violation(sub)
+        psd_ok = herm_res <= CCGO_TOL and eig_defect <= CCGO_TOL
         checks.append(ConstraintCheck(f"psd[{''.join(key)}]", psd_ok,
                                       max(herm_res, eig_defect)))
         readout_traced = np.trace(mat.reshape(PARTY_DIM, 4, PARTY_DIM, 4), axis1=1, axis2=3)
@@ -353,7 +354,7 @@ def verify_ccgo_decomposition(parts, tolerance: float = 1e-9) -> CcgoReport:
             i = 2 * sorted(prefix).index(last)  # axis of last_I; last_O is next
             res = _identity_residual(t, i + 1)
             checks.append(ConstraintCheck(f"reduced[{''.join(prefix)}] = ~W (x) 1[{last}_O]",
-                                          res <= tolerance, res))
+                                          res <= CCGO_TOL, res))
             # the slot's two qubits as one axis of dimension 4, traced at once
             side = (2 ** i, 4, 2 ** (n - i - 2))
             tr = np.trace(t.reshape(side + side), axis1=1, axis2=4).reshape((2,) * (2 * n - 4))
@@ -361,5 +362,5 @@ def verify_ccgo_decomposition(parts, tolerance: float = 1e-9) -> CcgoReport:
             shorter[head] = shorter[head] + tr if head in shorter else tr
         reduced = shorter
 
-    normalized = abs(total_trace - 2 ** 4) <= 1e-8 * 2 ** 4
+    normalized = abs(total_trace - 2 ** 4) <= CCGO_TRACE_RTOL * 2 ** 4
     return CcgoReport(tuple(checks), total_trace, normalized)

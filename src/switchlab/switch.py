@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .gates import NamedGate, SignMatrix, fourier_matrix
-from .linalg import as_state
+from .linalg import PROBABILITY_TOL, as_state
 
 _LABELS = "ABCDEFGH"
 
@@ -135,13 +135,11 @@ class OracleSet:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Control dephasing gamma in [0, 1], gate overrotation epsilon (radians),
-    and a default seed for downstream shot samplers.  The channel itself is
-    deterministic."""
+    """Control dephasing gamma in [0, 1] and gate overrotation epsilon
+    (radians); the channel is deterministic."""
 
     gamma: float = 0.0
     epsilon: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
@@ -160,9 +158,9 @@ class RunResult:
 
     def __post_init__(self):
         p = np.asarray(self.outcome_distribution, dtype=float)
-        if not p.min() >= -1e-9:    # written so that NaN fails
+        if not p.min() >= -PROBABILITY_TOL:    # written so that NaN fails
             raise ValueError("negative or NaN outcome probability")
-        if not abs(p.sum() - 1.0) <= 1e-9:
+        if not abs(p.sum() - 1.0) <= PROBABILITY_TOL:
             raise ValueError("outcome probabilities must sum to 1")
         p = np.maximum(p, 0.0)
         p.flags.writeable = False
@@ -274,18 +272,6 @@ def run_fourier_algorithm(oracle: OracleSet, perms: PermutationSet,
     dist = _distribution(_ordering_products(oracle.matrices(), perms.index),
                          fourier_matrix(perms.P), target[None])
     return _finish(dist[0], oracle.claimed_y)
-
-
-def dimension_constraint_ok(problem: str, d: int, p: int) -> bool:
-    """Solvability constraint on the target dimension: the Fourier promise
-    needs d >= P, the sign-matrix promise needs even d (or the trivial P=1)."""
-    if d < 1 or p < 1:
-        raise ValueError("dimensions must be positive")
-    if problem == "fourier":
-        return d >= p
-    if problem == "hadamard":
-        return p == 1 or d % 2 == 0
-    raise ValueError(f"unknown problem kind {problem!r}")
 
 
 def sample_shots(result: RunResult, shots: int, seed: int) -> np.ndarray:

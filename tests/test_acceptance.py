@@ -15,7 +15,7 @@ from switchlab import (NoiseModel, SIGMA_STAR, all_products, ancilla_factor,
                        apply_n_switch, attack_combined, attack_table1,
                        attack_table2, basis_state, build_effective_process,
                        build_fixed_circuit, chart_fixture, check_promise,
-                       dimension_constraint_ok, embed_sequence,
+                       embed_sequence,
                        enumerate_promise_sets, equivalence_classes,
                        gate_set_G, hadamard_m4, is_supersequence, kron_all,
                        quartet_census, random_state, run_hadamard_algorithm,
@@ -202,12 +202,6 @@ def test_criterion_10_property_suite(m4):
     s8 = sylvester_hadamard(3)
     checks.append(bool(np.array_equal(s8.entries @ s8.entries.T, 8 * np.eye(8, dtype=np.int64))))
 
-    # dimension constraints
-    checks.append(dimension_constraint_ok("fourier", 2, 4) is False)
-    checks.append(dimension_constraint_ok("fourier", 4, 4) is True)
-    checks.append(dimension_constraint_ok("hadamard", 2, 4) is True)
-    checks.append(dimension_constraint_ok("hadamard", 3, 4) is False)
-
     # noise monotonicity in the dephasing knob
     values = [run_hadamard_algorithm(chart_fixture("table1")[1], SIGMA_STAR, m4,
                                      basis_state(2, 0),
@@ -224,4 +218,4 @@ def test_criterion_10_property_suite(m4):
     ok = all(checks)
     report(10, ok, f"{sum(checks)}/{len(checks)} property checks passed "
                    f"(state relations, self-inverse sign matrix, exact orthogonality, "
-                   f"dimension constraints, noise monotonicity, seeded sampling)")
+                   f"noise monotonicity, seeded sampling)")

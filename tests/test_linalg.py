@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from switchlab import linalg
-from switchlab.linalg import choi_vector, fidelity, kron_all, random_state, random_unitary
+from switchlab.linalg import choi_vector, kron_all, random_unitary
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -42,9 +42,6 @@ def test_random_unitary_and_fidelity():
     rng = np.random.default_rng(9)
     u = random_unitary(4, rng)
     assert linalg.is_unitary(u)
-    s = random_state(4, rng)
-    assert abs(fidelity(s, s) - 1) < 1e-12
-    assert fidelity(s, u @ s) <= 1 + 1e-12
 
 
 def test_as_state_validation():
@@ -52,3 +49,10 @@ def test_as_state_validation():
         linalg.as_state([1.0, 1.0])
     with pytest.raises(ValueError, match="finite"):
         linalg.as_state([np.nan, 0.0])
+
+
+def test_basis_state_rejects_indices_outside_the_dimension():
+    assert_allclose(linalg.basis_state(3, 2), [0, 0, 1])
+    for index in (3, -1):
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            linalg.basis_state(3, index)

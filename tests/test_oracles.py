@@ -12,9 +12,9 @@ from switchlab import (OracleSet, PermutationSet, SIGMA_STAR, chart_fixture,
                        find_rotation_conjugator, gate_set_G, pauli,
                        verify_classification)
 from switchlab import oracles
-from switchlab.linalg import InvariantViolation, random_unitary
-from switchlab.oracles import (CONJUGATOR_TOL, _DEGENERATE, _KEY_DECIMALS, _TAU,
-                               _certificates, _first_long, _gate_words, _word_products,
+from switchlab.linalg import (CONJUGATOR_TOL, DEGENERATE, KEY_DECIMALS, InvariantViolation,
+                              random_unitary)
+from switchlab.oracles import (_TAU, _certificates, _first_long, _gate_words, _word_products,
                                bloch_rotation)
 from switchlab.switch import NamedGate, _ordering_products
 
@@ -473,7 +473,7 @@ def reference_form(mats, phase_sensitive):
         coef = coef / np.sqrt(np.linalg.det(mats))[:, None]
         quat = np.concatenate([coef[:, :1].real, -coef[:, 1:].imag], axis=1)
         quat *= np.where(quat[:, :1] < 0, -1.0, 1.0)
-        half = np.flatnonzero(np.abs(quat[:, 0]) <= _DEGENERATE)
+        half = np.flatnonzero(np.abs(quat[:, 0]) <= DEGENERATE)
         signs = np.ones((2 ** len(half), len(quat)))
         signs[:, half] = 1 - 2 * ((np.arange(len(signs))[:, None] >> np.arange(len(half))) & 1)
         rows, mapped = quat * signs[..., None], bloch_rotation(mats)
@@ -486,7 +486,7 @@ def reference_form(mats, phase_sensitive):
     e2[~found] = fill[~found] / np.linalg.norm(fill[~found], axis=1, keepdims=True)
     frames = np.stack([e1, e2, np.cross(e1, e2)], axis=1)
     coords = (vecs @ frames.swapaxes(1, 2)).reshape(len(rows), -1)
-    keys = np.round(np.concatenate([rows[..., 0], coords], axis=1), _KEY_DECIMALS)
+    keys = np.round(np.concatenate([rows[..., 0], coords], axis=1), KEY_DECIMALS)
     best = np.lexsort(keys.T[::-1])[0]
     return tuple(keys[best].tolist()), frames[best], mapped
 
@@ -527,7 +527,8 @@ def test_batched_classification_matches_per_set_loop(promise_sets, seed, picks, 
     both = [base[i] for i in rng.permutation(len(base))]
     for phase_sensitive in (True, False):
         for tol in (CONJUGATOR_TOL, 0.0):
-            got = equivalence_classes(both, phase_sensitive, tol)
+            with mock.patch.object(oracles, "CONJUGATOR_TOL", tol):
+                got = equivalence_classes(both, phase_sensitive)
             classes, conjugators = reference_classes(both, phase_sensitive, tol)
             assert got.classes == classes
             assert got.conjugators.keys() == conjugators.keys()

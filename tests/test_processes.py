@@ -72,6 +72,19 @@ def test_definite_order_comb_matches_kron_reference(order):
         assert_allclose(definite_order_process(order, psi, y).factor, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("order", ["ABCE", "ABCA", "ABC"])
+def test_definite_order_rejects_non_orderings(order):
+    with pytest.raises(ValueError, match=f"'{order}' is not an ordering of ABCD"):
+        definite_order_process(order, basis_state(2, 0), answer_y=0)
+
+
+@pytest.mark.parametrize("answer_y", [5, 4, -1])
+def test_definite_order_rejects_answers_outside_the_readout(answer_y):
+    # -1 used to wrap around to the comb for answer 3
+    with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+        definite_order_process("ABCD", basis_state(2, 0), answer_y=answer_y)
+
+
 def test_switch_ket_contraction_reproduces_products():
     # contracting the gate Choi vectors against branch x leaves the Choi
     # vector of the ordering product on (t_p, t_f)
@@ -358,7 +371,7 @@ def test_definite_order_comb_passes():
     parts = _zero_parts()
     comb = definite_order_process("ABCD", basis_state(2, 0), answer_y=0)
     parts[("A", "B", "C", "D")] = comb.matrix
-    report = verify_ccgo_decomposition(parts, tolerance=1e-9)
+    report = verify_ccgo_decomposition(parts)
     assert report.passed, [c.name for c in report.failures()]
     assert report.normalized
     assert abs(report.trace - 16.0) < 1e-9
@@ -369,7 +382,7 @@ def test_all_orderings_filled_passes():
     for key in itertools.permutations("ABCD"):
         comb = definite_order_process("".join(key), basis_state(2, 0), answer_y=0)
         parts[key] = comb.matrix / 24.0
-    report = verify_ccgo_decomposition(parts, tolerance=1e-9)
+    report = verify_ccgo_decomposition(parts)
     assert report.passed
     assert report.normalized
 
@@ -377,14 +390,14 @@ def test_all_orderings_filled_passes():
 def test_controlled_order_process_fails_the_constraints(m4):
     parts = _zero_parts()
     parts[("A", "B", "C", "D")] = build_effective_process(basis_state(2, 0), m4).matrix
-    report = verify_ccgo_decomposition(parts, tolerance=1e-9)
+    report = verify_ccgo_decomposition(parts)
     assert not report.passed
     failed = [c.name for c in report.failures()]
     assert any(name.startswith("reduced[ABCD]") for name in failed)
 
 
 def test_zero_parts_pass_vacuously_but_flagged():
-    report = verify_ccgo_decomposition(_zero_parts(), tolerance=1e-9)
+    report = verify_ccgo_decomposition(_zero_parts())
     assert report.passed
     assert not report.normalized
     assert report.trace == 0.0
@@ -400,14 +413,14 @@ def test_verifier_support_includes_off_diagonal_entries():
     part = np.zeros((1024, 1024), dtype=complex)
     part[3, 700] = part[700, 3] = 1.0
     parts[("A", "B", "C", "D")] = part
-    check = _psd_check(verify_ccgo_decomposition(parts, tolerance=1e-9))
+    check = _psd_check(verify_ccgo_decomposition(parts))
     assert not check.passed
     assert check.residual == pytest.approx(1.0, abs=1e-12)
 
     part = np.zeros((1024, 1024), dtype=complex)
     part[12, 900] = 0.3 - 0.4j
     parts[("A", "B", "C", "D")] = part
-    check = _psd_check(verify_ccgo_decomposition(parts, tolerance=1e-9))
+    check = _psd_check(verify_ccgo_decomposition(parts))
     assert not check.passed
     assert check.residual == pytest.approx(0.5, abs=1e-12)
 
@@ -421,7 +434,7 @@ def test_verifier_support_block_matches_full_spectrum():
     comb[rows, rows] -= 0.05
     parts = _zero_parts()
     parts[("B", "A", "D", "C")] = comb
-    check = _psd_check(verify_ccgo_decomposition(parts, tolerance=1e-9), "BADC")
+    check = _psd_check(verify_ccgo_decomposition(parts), "BADC")
     expected = -np.linalg.eigvalsh(comb).min()
     assert not check.passed
     assert check.residual == pytest.approx(expected, abs=1e-12)
@@ -434,7 +447,7 @@ def test_verifier_full_support_psd_parts_pass():
         a = rng.normal(size=(1024, 6)) + 1j * rng.normal(size=(1024, 6))
         parts[key] = a @ a.conj().T
         assert np.all(parts[key] != 0)
-    report = verify_ccgo_decomposition(parts, tolerance=1e-9)
+    report = verify_ccgo_decomposition(parts)
     for key in ["ABCD", "DCBA", "CADB"]:
         assert _psd_check(report, key).passed
 
@@ -502,7 +515,7 @@ def test_verifier_level_residuals_match_dense_reference(count, seed):
             shorter[prefix[:-1]] = shorter.get(prefix[:-1], 0) + tr
         reduced = shorter
 
-    report = verify_ccgo_decomposition(parts, tolerance=1e-9)
+    report = verify_ccgo_decomposition(parts)
     got = {c.name: c.residual for c in report.checks if c.name.startswith("reduced")}
     assert list(got) == list(expected)
     for name, value in expected.items():

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from switchlab import (NoiseModel, OracleSet, PermutationSet, RunResult, SIGMA_STAR,
                        all_products, apply_n_switch, basis_state,
-                       chart_fixture, dimension_constraint_ok, hadamard_m4,
+                       chart_fixture, hadamard_m4,
                        pauli, random_state, run_fourier_algorithm,
                        run_hadamard_algorithm, sample_shots,
                        sylvester_hadamard)
@@ -284,27 +284,6 @@ def test_fourier_agrees_with_sign_variant_for_two_orderings():
         a = run_hadamard_algorithm(orc, perms, m2, psi)
         b = run_fourier_algorithm(orc, perms, psi)
         assert_allclose(a.outcome_distribution, b.outcome_distribution, atol=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# dimension constraints
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("problem,d,p,ok", [
-    ("fourier", 2, 4, False),
-    ("fourier", 4, 4, True),
-    ("fourier", 5, 4, True),
-    ("hadamard", 2, 4, True),
-    ("hadamard", 3, 4, False),
-    ("hadamard", 3, 1, True),
-])
-def test_dimension_constraints(problem, d, p, ok):
-    assert dimension_constraint_ok(problem, d, p) is ok
-
-
-def test_dimension_constraint_rejects_unknown():
-    with pytest.raises(ValueError):
-        dimension_constraint_ok("parity", 2, 2)
 
 
 # ---------------------------------------------------------------------------
