@@ -60,7 +60,9 @@ def load_perms_file(path: str) -> PermutationSet:
     """Permutation file: list of label strings, identity first."""
     data = _load_json(path)
     try:
-        return PermutationSet.from_strings([str(w) for w in data])
+        if not isinstance(data, list) or not all(isinstance(w, str) for w in data):
+            raise ValueError("expected a JSON list of label strings such as [\"ABCD\", \"BADC\"]")
+        return PermutationSet.from_strings(data)
     except ValueError as exc:
         raise UsageError(f"malformed permutation file {path!r}: {exc}") from exc
 

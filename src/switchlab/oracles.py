@@ -15,7 +15,8 @@ plus the vectors' coordinates in a right-handed frame built from the vectors
 themselves; the rotation between two frames, lifted to SU(2), certifies each
 merge.  The phase-insensitive relation (the one relevant when the sets only
 enter through their Choi projectors) uses the unit quaternion of
-U/sqrt(det U) instead, whose sign is free only for half turns.
+U/sqrt(det U) instead, free in sign only for half turns: the key is the least
+over four frames K F, each half turn's leading coordinate made positive.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .gates import NamedGate, SignMatrix, pauli
 from .linalg import CONJUGATOR_TOL, DEGENERATE, KEY_DECIMALS, PROMISE_TOL, InvariantViolation
 from .switch import OracleSet, PermutationSet, all_products
 
-_CHUNK = 4096   # assignments, or canonical-form rows, per vectorized batch
+_CHUNK = 4096   # assignments per vectorized batch
 
 
 def _promise_residuals(prods: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -213,13 +214,13 @@ def _first_long(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             norms[rows, j] > DEGENERATE)
 
 
-def _canonical(rows: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Keys and right-handed frames (rows e1, e2, e3) of the segments of
-    ``rows[R, M, 4]``: each row is one sign choice for a set, a scalar and a
-    vector per unit, and ``seg[R]`` (ascending from 0, none empty) names its
-    set.  A row's key is the scalars, then the frame coordinates of the
-    vectors, rounded; each segment keeps the first of its smallest keys."""
-    vecs = rows[..., 1:]
+def _canonical(units: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and right-handed frames (rows e1, e2, e3) of the sets
+    ``units[S, M, 4]``, a scalar and a vector per unit; ``half[S, M]`` marks
+    the half turns, whose sign is free.  A frame's key is each unit's scalar
+    and frame coordinates, half turns with a negative leading coordinate
+    negated, rounded; a set keeps the first smallest of its four frames' keys."""
+    vecs = units[..., 1:]
     e1, found = _first_long(vecs)
     e1[~found] = (1.0, 0.0, 0.0)    # all-scalar sets: the identity frame
     e2, found = _first_long(vecs - (vecs @ e1[:, :, None]) * e1[:, None, :])
@@ -227,17 +228,25 @@ def _canonical(rows: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarra
     fill = axis - np.sum(axis * e1, axis=1, keepdims=True) * e1
     e2[~found] = fill[~found] / np.linalg.norm(fill[~found], axis=1, keepdims=True)
     frames = np.stack([e1, e2, np.cross(e1, e2)], axis=1)
-    coords = (vecs @ frames.swapaxes(1, 2)).reshape(len(rows), -1)
-    keys = np.round(np.concatenate([rows[..., 0], coords], axis=1), KEY_DECIMALS)
-    order = np.lexsort((*keys.T[::-1], seg))    # stable: the first of equal keys
-    best = order[np.flatnonzero(np.diff(seg, prepend=-1))]
+    # flipping the vectors behind e1 and e2 permutes the four K F, det K = 1
+    k = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)], dtype=float)
+    frames = (k[:, :, None] * frames[:, None]).reshape(-1, 3, 3)   # set s: rows 4s..4s+3
+    rows = np.repeat(units, 4, axis=0)
+    rows[..., 1:] = rows[..., 1:] @ frames.swapaxes(1, 2)
+    # a half turn has unit length, so one coordinate reaches 1/sqrt(3)
+    lead = np.argmax(np.abs(rows[..., 1:]) > DEGENERATE, axis=-1)
+    lead = np.take_along_axis(rows[..., 1:], lead[..., None], axis=-1)[..., 0]
+    rows[np.repeat(half, 4, axis=0) & (lead < 0)] *= -1.0
+    keys = np.round(rows.reshape(len(rows), -1), KEY_DECIMALS)
+    best = np.lexsort((*keys.T[::-1], np.arange(len(rows)) // 4))[::4]   # stable: first of equal
     return keys[best], frames[best]
 
 
 def _canonical_forms(mats: np.ndarray, phase_sensitive: bool) -> tuple:
     """Keys ``[S, K]``, frames ``[S, 3, 3]`` and what a certificate must map
     (the gates ``mats[S, N, 2, 2]``, or their Bloch rotations when phases are
-    ignored)."""
+    ignored), from four frames per set; only half turns, which occur only
+    when phases are ignored, take the leading-coordinate sign."""
     if mats.shape[-2:] != (2, 2):
         raise ValueError("equivalence classification expects qubit gates")
     coef = _pauli_coefficients(mats)
@@ -246,24 +255,12 @@ def _canonical_forms(mats: np.ndarray, phase_sensitive: bool) -> tuple:
         half = np.zeros(units.shape[:2], dtype=bool)
     else:
         # U/sqrt(det U) = q0 I - i q.sigma with q0 >= 0; a half turn (q0 = 0)
-        # has no such sign, so every sign pattern over the half turns is tried
+        # has no such sign, so _canonical fixes it in each frame
         coef = coef / np.sqrt(np.linalg.det(mats))[..., None]
         units = np.concatenate([coef[..., :1].real, -coef[..., 1:].imag], axis=-1)
         units *= np.where(units[..., :1] < 0, -1.0, 1.0)
         half, mapped = np.abs(units[..., 0]) <= DEGENERATE, bloch_rotation(mats)
-    m = units.shape[1]
-    keys, frames = np.empty((len(mats), 4 * m)), np.empty((len(mats), 3, 3))
-    turns = half.sum(axis=1)
-    for h in map(int, np.flatnonzero(np.bincount(turns))):
-        flips = 1 - 2 * ((np.arange(2 ** h)[:, None] >> np.arange(h)) & 1)   # pattern p flips bit b
-        idx, step = np.flatnonzero(turns == h), max(1, _CHUNK >> h)   # _CHUNK rows, or one set
-        for part in (idx[lo:lo + step] for lo in range(0, len(idx), step)):
-            cols = np.nonzero(half[part])[1].reshape(len(part), 1, h)
-            signs = np.ones((len(part), 2 ** h, m))
-            np.put_along_axis(signs, np.broadcast_to(cols, (len(part), 2 ** h, h)), flips, axis=2)
-            rows = (units[part, None] * signs[..., None]).reshape(-1, m, 4)
-            keys[part], frames[part] = _canonical(rows, np.repeat(np.arange(len(part)), 2 ** h))
-    return keys, frames, mapped
+    return (*_canonical(units, half), mapped)
 
 
 def _su2_lift(o: np.ndarray) -> np.ndarray:

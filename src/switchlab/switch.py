@@ -66,7 +66,7 @@ class PermutationSet:
     @classmethod
     def from_strings(cls, words, require_identity_reference: bool = True) -> "PermutationSet":
         words = list(words)
-        n = len(words[0])
+        n = len(words[0]) if words else 0   # no words: the constructor names the error
         if n > len(_LABELS):
             raise ValueError("at most 8 labels supported")
         alphabet = _LABELS[:n]

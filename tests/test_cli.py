@@ -330,6 +330,25 @@ def test_witness_rejects_eight_orderings(capsys, tmp_path):
     assert "witness readout dim 4 does not match process readout dim 8" in err
 
 
+def test_empty_permutation_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    code, out, err = run_cli(capsys, "enumerate", "--perms", str(path))
+    assert code == 2 and not out
+    assert f"malformed permutation file {str(path)!r}: at least one ordering is required" in err
+
+
+@pytest.mark.parametrize("data", [[1, 2], {"a": 1}, "ABCD", ["ABCD", 7]])
+def test_permutation_file_must_hold_label_strings(capsys, tmp_path, data):
+    # stringified entries would read [1, 2] as the words '1' and '2', and an
+    # object as its keys
+    path = tmp_path / "perms.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "enumerate", "--perms", str(path))
+    assert code == 2 and not out
+    assert f"malformed permutation file {str(path)!r}: expected a JSON list of label strings" in err
+
+
 def test_malformed_gate_file_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps([{"name": "Z"}]))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -465,18 +466,21 @@ def test_classification_edge_cases():
 # independent oracle: the classifier one set and one merge at a time.  The
 # certificate arithmetic (_certificates, bloch_rotation) is shared, so that
 # tol = 0 compares the batching rather than the last bits of rounding.
-def reference_form(mats, phase_sensitive):
+def reference_units(mats, phase_sensitive):
+    """Per gate unit rows (scalar, vector), which of them are half turns, and
+    what a certificate must map."""
     coef = np.einsum("mij,nji->nm", _TAU, mats) / 2
     if phase_sensitive:
-        rows, mapped = np.stack([coef.real, coef.imag], axis=1).reshape(1, -1, 4), mats
-    else:
-        coef = coef / np.sqrt(np.linalg.det(mats))[:, None]
-        quat = np.concatenate([coef[:, :1].real, -coef[:, 1:].imag], axis=1)
-        quat *= np.where(quat[:, :1] < 0, -1.0, 1.0)
-        half = np.flatnonzero(np.abs(quat[:, 0]) <= DEGENERATE)
-        signs = np.ones((2 ** len(half), len(quat)))
-        signs[:, half] = 1 - 2 * ((np.arange(len(signs))[:, None] >> np.arange(len(half))) & 1)
-        rows, mapped = quat * signs[..., None], bloch_rotation(mats)
+        units = np.stack([coef.real, coef.imag], axis=1).reshape(-1, 4)
+        return units, np.zeros(len(units), dtype=bool), mats
+    coef = coef / np.sqrt(np.linalg.det(mats))[:, None]
+    quat = np.concatenate([coef[:, :1].real, -coef[:, 1:].imag], axis=1)
+    quat *= np.where(quat[:, :1] < 0, -1.0, 1.0)
+    return quat, np.abs(quat[:, 0]) <= DEGENERATE, bloch_rotation(mats)
+
+
+def reference_frames(rows):
+    """The frame of each row of ``rows[R, M, 4]``, built from its vectors."""
     vecs = rows[..., 1:]
     e1, found = _first_long(vecs)
     e1[~found] = (1.0, 0.0, 0.0)
@@ -484,15 +488,47 @@ def reference_form(mats, phase_sensitive):
     axis = np.eye(3)[np.argmin(np.abs(e1), axis=1)]
     fill = axis - np.sum(axis * e1, axis=1, keepdims=True) * e1
     e2[~found] = fill[~found] / np.linalg.norm(fill[~found], axis=1, keepdims=True)
-    frames = np.stack([e1, e2, np.cross(e1, e2)], axis=1)
-    coords = (vecs @ frames.swapaxes(1, 2)).reshape(len(rows), -1)
+    return np.stack([e1, e2, np.cross(e1, e2)], axis=1)
+
+
+def reference_form(mats, phase_sensitive):
+    """The four-frame key: the frame under each proper sign change K, each
+    half turn's sign fixed by its first coordinate above DEGENERATE, and the
+    first smallest key kept."""
+    units, half, mapped = reference_units(mats, phase_sensitive)
+    (frame,) = reference_frames(units[None])
+    best = None
+    for k in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
+        f = np.array(k, dtype=float)[:, None] * frame
+        key = []
+        for unit, is_half in zip(units, half):
+            row = np.concatenate([unit[:1], f @ unit[1:]])
+            if is_half and next(c for c in row[1:] if abs(c) > DEGENERATE) < 0:
+                row = -row
+            key.extend(np.round(row, KEY_DECIMALS).tolist())
+        if best is None or tuple(key) < best[0]:
+            best = tuple(key), f
+    return (*best, mapped)
+
+
+def exhaustive_form(mats, phase_sensitive):
+    """The exhaustive key: every sign pattern over the h half turns, 2**h
+    frames per set, the first smallest key kept.  Its keys and frames differ
+    from the four-frame ones, so it serves only as a partition oracle."""
+    units, half, mapped = reference_units(mats, phase_sensitive)
+    turns = np.flatnonzero(half)
+    signs = np.ones((2 ** len(turns), len(units)))
+    signs[:, turns] = 1 - 2 * ((np.arange(len(signs))[:, None] >> np.arange(len(turns))) & 1)
+    rows = units * signs[..., None]
+    frames = reference_frames(rows)
+    coords = (rows[..., 1:] @ frames.swapaxes(1, 2)).reshape(len(rows), -1)
     keys = np.round(np.concatenate([rows[..., 0], coords], axis=1), KEY_DECIMALS)
     best = np.lexsort(keys.T[::-1])[0]
     return tuple(keys[best].tolist()), frames[best], mapped
 
 
-def reference_classes(sets, phase_sensitive, tol):
-    forms = [reference_form(s.matrices(), phase_sensitive) for s in sets]
+def reference_classes(sets, phase_sensitive, tol, form=reference_form):
+    forms = [form(s.matrices(), phase_sensitive) for s in sets]
     by_key, classes, conjugators = {}, [], {}
     for i, (key, frame, mapped) in enumerate(forms):
         for k in by_key.get(key, ()):
@@ -534,3 +570,55 @@ def test_batched_classification_matches_per_set_loop(promise_sets, seed, picks, 
             assert got.conjugators.keys() == conjugators.keys()
             for i, c in conjugators.items():
                 assert np.max(np.abs(got.conjugators[i] - c)) <= 1e-12
+            if tol:
+                assert got.classes == reference_classes(both, phase_sensitive, tol,
+                                                        exhaustive_form)[0]
+
+
+def test_four_frames_partition_like_the_sign_search(promise_sets):
+    _, sets = promise_sets
+    for phase_sensitive in (True, False):
+        got = equivalence_classes(sets, phase_sensitive)
+        classes, _ = reference_classes(sets, phase_sensitive, CONJUGATOR_TOL, exhaustive_form)
+        assert got.classes == classes
+        classes, conjugators = reference_classes(sets, phase_sensitive, CONJUGATOR_TOL)
+        assert got.classes == classes and got.conjugators.keys() == conjugators.keys()
+        assert all(np.max(np.abs(got.conjugators[i] - c)) <= 1e-12 for i, c in conjugators.items())
+
+
+def test_phase_insensitive_classification_cost_is_bounded():
+    # 16 half turns: a search over all 2**16 sign patterns would peak near 147 MiB
+    s = OracleSet(tuple(pauli("XYZ"[k % 3]) for k in range(16)))
+    tracemalloc.start()
+    try:
+        cls = equivalence_classes([s], phase_sensitive=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cls.n_classes == 1
+    assert peak < 5 * 2**20
+
+
+@settings(max_examples=25, deadline=None)
+@given(draws=st.lists(st.lists(st.integers(0, 9), min_size=4, max_size=12), min_size=1,
+                      max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+@example(draws=[[2, 3, 1, 4], [2, 3, 1, 4], [1, 1, 1, 1]], seed=0)
+def test_phase_insensitive_classes_ignore_per_gate_phases(draws, seed):
+    # every gate of a copy takes its own phase, -1 (the sign of a half turn)
+    # half of the time, and all copies share one Haar conjugation
+    library = gate_set_G()
+    originals = [OracleSet(tuple(library[i] for i in idx)) for idx in draws]
+    rng = np.random.default_rng(seed)
+    v = random_unitary(2, rng)
+    copies = []
+    for s in originals:
+        phases = np.where(rng.random(s.N) < 0.5, np.pi, rng.uniform(0, 2 * np.pi, s.N))
+        copies.append(OracleSet(tuple(NamedGate(g.name, np.exp(1j * p) * g.matrix)
+                                      for g, p in zip(s.gates, phases))).conjugated(v))
+    both = originals + copies
+    cls = equivalence_classes(both, phase_sensitive=False)
+    verify_classification(cls, both)
+    assert cls.n_classes == equivalence_classes(originals, phase_sensitive=False).n_classes
+    class_of = {i: k for k, c in enumerate(cls.classes) for i in c}
+    assert all(class_of[k] == class_of[k + len(originals)] for k in range(len(originals)))
