@@ -40,6 +40,8 @@ def _load_json(path: str):
 
 
 def _gates_from_entries(entries) -> tuple[NamedGate, ...]:
+    if not isinstance(entries, list):
+        raise ValueError('expected a JSON list of {"name", "matrix"} entries')
     return tuple(
         NamedGate(str(e["name"]),
                   np.array([[complex(re, im) for re, im in row] for row in e["matrix"]]))
@@ -71,6 +73,8 @@ def load_matrix_file(path: str) -> SignMatrix:
     """Sign-matrix file: list of integer rows."""
     data = _load_json(path)
     try:
+        if not isinstance(data, list):
+            raise ValueError("expected a JSON list of integer rows")
         return SignMatrix(np.array(data, dtype=np.int64))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed sign-matrix file {path!r}: {exc}") from exc

@@ -66,9 +66,9 @@ def require_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
 def as_state(amplitudes) -> np.ndarray:
     """Validate and return a normalized pure-state vector."""
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("state has non-finite amplitudes")
-    n = np.linalg.norm(v)
+    n = np.sqrt(np.vdot(v, v).real)
     if abs(n - 1.0) > ATOL:
         raise ValueError(f"state norm {n} deviates from 1 by more than {ATOL}")
     return v

@@ -39,7 +39,8 @@ class PermutationSet:
         if not sigma:
             raise ValueError("at least one ordering is required")
         n = len(sigma[0])
-        ident = tuple(range(n))
+        if n == 0:
+            raise ValueError("an ordering needs at least one label")
         for row in sigma:
             if sorted(row) != list(range(n)):
                 raise ValueError(f"{row} is not a permutation of 0..{n - 1}")
@@ -47,7 +48,7 @@ class PermutationSet:
             raise ValueError("orderings must be pairwise distinct")
         if len(sigma) > math.factorial(n):
             raise ValueError("more orderings than permutations exist")
-        if require_identity_reference and sigma[0] != ident:
+        if require_identity_reference and sigma[0] != tuple(range(n)):
             # The relabeling-consistency property needs the escape hatch; the
             # published fixtures never do.
             raise ValueError("the first ordering must be the identity")
@@ -121,6 +122,10 @@ class OracleSet:
         stack.flags.writeable = False
         return stack
 
+    @cached_property
+    def _product_memo(self) -> dict:   # filled by switch._products
+        return {}
+
     def names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.gates)
 
@@ -146,6 +151,9 @@ class NoiseModel:
             raise ValueError("gamma must lie in [0, 1]")
         if not math.isfinite(self.epsilon):
             raise ValueError("epsilon must be a finite angle")
+
+
+_NOISELESS = NoiseModel()
 
 
 @dataclass(frozen=True)
@@ -178,11 +186,23 @@ def _ordering_products(mats: np.ndarray, sigma) -> np.ndarray:
     return out
 
 
+def _products(oracle: OracleSet, perms: PermutationSet, epsilon: float = 0.0) -> np.ndarray:
+    """The oracle's ordering products at overrotation epsilon, built once and kept read-only."""
+    memo, key = oracle._product_memo, (perms.sigma, epsilon)
+    if key not in memo:
+        mats = oracle.matrices()
+        if epsilon != 0.0:
+            mats = _overrotation(epsilon) @ mats
+        memo[key] = _ordering_products(mats, perms.index)
+        memo[key].flags.writeable = False
+    return memo[key]
+
+
 def all_products(oracle: OracleSet, perms: PermutationSet) -> np.ndarray:
-    """Stack of the P ordering products, shape (P, d, d)."""
+    """Read-only stack of the P ordering products, shape (P, d, d)."""
     if oracle.N != perms.N:
         raise ValueError("oracle size does not match the permutation set")
-    return _ordering_products(oracle.matrices(), perms.index)
+    return _products(oracle, perms)
 
 
 def _branch_rows(pis: np.ndarray, amplitudes: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -254,11 +274,8 @@ def run_hadamard_algorithm(oracle: OracleSet, perms: PermutationSet, m: SignMatr
     if oracle.dim != 2:
         raise ValueError("the sign-matrix algorithm runs qubit targets only")
     target = _checked_target(oracle, perms, target_state)
-    noise = noise or NoiseModel()
-    mats = oracle.matrices()
-    if noise.epsilon != 0.0:
-        mats = _overrotation(noise.epsilon) @ mats
-    dist = _distribution(_ordering_products(mats, perms.index), m.as_gate(), target[None],
+    noise = noise or _NOISELESS
+    dist = _distribution(_products(oracle, perms, noise.epsilon), m.as_gate(), target[None],
                          noise.gamma)
     return _finish(dist[0], oracle.claimed_y)
 
@@ -269,8 +286,7 @@ def run_fourier_algorithm(oracle: OracleSet, perms: PermutationSet,
     promised exponent when the orderings differ by powers of exp(2 pi i/P);
     the promise itself forces target dimension >= P."""
     target = _checked_target(oracle, perms, target_state)
-    dist = _distribution(_ordering_products(oracle.matrices(), perms.index),
-                         fourier_matrix(perms.P), target[None])
+    dist = _distribution(_products(oracle, perms), fourier_matrix(perms.P), target[None])
     return _finish(dist[0], oracle.claimed_y)
 
 

@@ -349,6 +349,29 @@ def test_permutation_file_must_hold_label_strings(capsys, tmp_path, data):
     assert f"malformed permutation file {str(path)!r}: expected a JSON list of label strings" in err
 
 
+def test_scs_rejects_an_empty_ordering(capsys):
+    code, out, err = run_cli(capsys, "scs", "")
+    assert code == 2 and not out
+    assert "an ordering needs at least one label" in err
+
+
+def test_gate_file_must_hold_a_list(capsys, tmp_path):
+    path = tmp_path / "gates.json"
+    path.write_text(json.dumps({"name": "Z"}))
+    code, out, err = run_cli(capsys, "enumerate", "--gates", str(path))
+    assert code == 2 and not out
+    assert (f"malformed gate file {str(path)!r}: "
+            'expected a JSON list of {"name", "matrix"} entries') in err
+
+
+def test_matrix_file_must_hold_a_list(capsys, tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"a": 1}))
+    code, out, err = run_cli(capsys, "enumerate", "--matrix", str(path))
+    assert code == 2 and not out
+    assert f"malformed sign-matrix file {str(path)!r}: expected a JSON list of integer rows" in err
+
+
 def test_malformed_gate_file_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps([{"name": "Z"}]))

@@ -8,13 +8,14 @@ from numpy.testing import assert_allclose
 
 from switchlab import (NoiseModel, OracleSet, PermutationSet, RunResult, SIGMA_STAR,
                        all_products, apply_n_switch, basis_state,
-                       chart_fixture, hadamard_m4,
+                       chart_fixture, check_promise, hadamard_m4,
                        pauli, random_state, run_fourier_algorithm,
                        run_hadamard_algorithm, sample_shots,
                        sylvester_hadamard)
 from switchlab.gates import NamedGate
 from switchlab.linalg import random_unitary
-from switchlab.switch import _distribution, _ordering_products, _overrotation
+from switchlab.switch import (_distribution, _finish, _ordering_products, _overrotation,
+                              _products)
 
 
 def oracle_of(*names):
@@ -40,6 +41,9 @@ def test_permutation_set_validation():
     relabeled = PermutationSet.from_strings(["BACD", "ABCD"],
                                             require_identity_reference=False)
     assert relabeled.P == 2
+    for empty in (lambda: PermutationSet([()]), lambda: PermutationSet.from_strings([""])):
+        with pytest.raises(ValueError, match="an ordering needs at least one label"):
+            empty()
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +102,97 @@ def test_ordering_products_match_fold_reference(d, n, data, batch, seed):
         assert got.shape == (batch, len(sigma), d, d)
         for b in range(batch):
             assert_allclose(got[b], fold_products(mats[b], sigma), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# product memo
+# ---------------------------------------------------------------------------
+
+def haar_oracle(n, rng):
+    return OracleSet(tuple(NamedGate(f"U{i}", random_unitary(2, rng)) for i in range(n)))
+
+
+def test_product_memo_returns_one_read_only_array():
+    orc = oracle_of("Z", "X", "Y", "1")
+    first = all_products(orc, SIGMA_STAR)
+    assert all_products(orc, SIGMA_STAR) is first
+    assert _products(orc, SIGMA_STAR) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05, -0.4])
+def test_product_memo_equals_ordering_products(epsilon):
+    orc = haar_oracle(4, np.random.default_rng(3))
+    mats = orc.matrices()
+    if epsilon != 0.0:
+        mats = _overrotation(epsilon) @ mats
+    assert np.array_equal(_products(orc, SIGMA_STAR, epsilon),
+                          _ordering_products(mats, SIGMA_STAR.index))
+
+
+def test_product_memo_keys_orderings_and_epsilon():
+    orc = haar_oracle(4, np.random.default_rng(4))
+    other = PermutationSet.from_strings(["ABCD", "DCBA"])
+    cases = [(perms, eps) for perms in (SIGMA_STAR, other) for eps in (0.0, 0.05)]
+    prods = [_products(orc, perms, eps) for perms, eps in cases]
+    assert set(orc._product_memo) == {(perms.sigma, eps) for perms, eps in cases}
+    assert [p.shape[0] for p in prods] == [4, 4, 2, 2]
+    assert not np.array_equal(prods[0], prods[1])
+    assert not np.array_equal(prods[2], prods[3])
+
+
+def test_conjugated_oracle_starts_with_an_empty_memo():
+    orc = oracle_of("Z", "X", "Y", "1")
+    all_products(orc, SIGMA_STAR)
+    conj = orc.conjugated(random_unitary(2, np.random.default_rng(5)))
+    assert len(orc._product_memo) == 1 and conj._product_memo == {}
+
+
+def test_one_set_computes_its_products_once_per_epsilon(monkeypatch, m4, promise_sets):
+    # the promise sweep checks a set, decodes it ideally, then on a dephasing grid
+    calls = []
+
+    def counting(mats, sigma):
+        calls.append(mats.shape)
+        return _ordering_products(mats, sigma)
+
+    monkeypatch.setattr("switchlab.switch._ordering_products", counting)
+    s = promise_sets[1][7]
+    s = OracleSet(s.gates, claimed_y=s.claimed_y)    # a memo this test alone fills
+    assert check_promise(s, SIGMA_STAR, m4).satisfied
+    rng = np.random.default_rng(6)
+    targets = [basis_state(2, 0)] + [random_state(2, rng) for _ in range(10)]
+    for psi in targets:
+        run_hadamard_algorithm(s, SIGMA_STAR, m4, psi)
+    for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
+        run_hadamard_algorithm(s, SIGMA_STAR, m4, targets[1], NoiseModel(gamma, 0.05))
+    assert len(calls) == 2
+
+
+def test_memoized_decodes_equal_direct_computation(m4, promise_sets):
+    # direct: the products rebuilt from the gates for every call
+    def direct(orc, psi, noise):
+        mats = orc.matrices()
+        if noise.epsilon != 0.0:
+            mats = _overrotation(noise.epsilon) @ mats
+        dist = _distribution(_ordering_products(mats, SIGMA_STAR.index), m4.as_gate(),
+                             psi[None], noise.gamma)
+        return _finish(dist[0], orc.claimed_y)
+
+    sets = promise_sets[1]
+    rng = np.random.default_rng(7)
+    targets = [basis_state(2, 0)] + [random_state(2, rng) for _ in range(10)]
+    cases = [(s, psi, NoiseModel()) for s in sets for psi in targets]
+    cases += [(s, psi, NoiseModel(gamma, eps)) for s in sets[::23] for psi in targets[::5]
+              for gamma in (0.0, 0.3, 1.0) for eps in (0.0, 0.05, -0.4)]
+    for orc, psi, noise in cases:
+        got = run_hadamard_algorithm(orc, SIGMA_STAR, m4, psi, noise)
+        want = direct(orc, psi, noise)
+        assert np.array_equal(got.outcome_distribution, want.outcome_distribution)
+        assert (got.decoded_y, got.success_probability) == (want.decoded_y,
+                                                            want.success_probability)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +419,6 @@ DECODE_SETUPS = [
     (PermutationSet.from_strings(["ABC", "CAB"]), sylvester_hadamard(1)),
     (PermutationSet.from_strings(["ABCD"]), sylvester_hadamard(0)),
 ]
-
-
-def haar_oracle(n, rng):
-    return OracleSet(tuple(NamedGate(f"U{i}", random_unitary(2, rng)) for i in range(n)))
 
 
 @settings(max_examples=60, deadline=None)
