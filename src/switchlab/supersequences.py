@@ -8,18 +8,22 @@ ordering, counting its matched symbols), run on a batch of ordering sets of
 one shape at once.
 
 * A state of set b is one integer, b*(n+1)**P + sum_k p_k*(n+1)**(P-1-k),
-  so a batch shares one sorted array of reached keys.
-* Each layer gathers every ordering's next required symbol, forms the
-  successors under all n symbols at once and keeps the states not reached
-  before.
+  and an index into one dense boolean mask of reached states (allocated
+  zeroed, so only the pages the search touches are mapped).
+* The orderings are split into two halves.  A table per half, indexed by
+  that half's digits of the key, holds the key increment of every symbol,
+  so each layer forms the successors of every state under all n symbols
+  with two row gathers and keeps the ones the mask has not seen.
 * Tie-break: a new state keeps its first occurrence in (frontier position,
   symbol) order, the order a FIFO queue expanding symbols alphabetically
   would find it.  The path read back from the goal is therefore the
   lexicographically smallest shortest supersequence.
 
-``scs`` searches one set and certifies its result with explicit embeddings;
-``quartet_census`` searches all identity-containing quartets in batches and
-histograms the minimal lengths.
+``scs`` searches one set and certifies its result with explicit embeddings.
+``quartet_census`` histograms the minimal lengths of all identity-containing
+quartets.  Relabeling by a member's inverse and reversing every word keep
+the minimal length, so it searches one quartet per orbit of those maps
+(265 of 1771 at n = 4) and copies the length to the rest of the orbit.
 """
 from __future__ import annotations
 
@@ -82,55 +86,80 @@ def embed_sequence(sequence: str, perms: PermutationSet) -> SupersequenceResult:
 _CHUNK = 128   # ordering sets per census batch; bounds the per-layer temporaries
 
 
+def _delta_table(need, weights, n):
+    """Key increments of a group of h orderings: row b*(n+1)**h + q, column s
+    holds sum_k weights[k] over the orderings k whose progress digit in q
+    waits for symbol s, for ``need[B, h, n+1]`` as in ``_shortest_paths``."""
+    batch, h, radix = need.shape
+    digits = np.arange(radix ** h)[:, None] // radix ** np.arange(h - 1, -1, -1) % radix
+    waits = need[:, np.arange(h), digits]                  # [B, radix**h, h]
+    table = ((waits[..., None] == np.arange(n)) * weights[:, None]).sum(axis=2)
+    return table.reshape(-1, n)
+
+
 def _shortest_paths(sigmas) -> list[list[int]]:
     """Symbols of the lexicographically smallest shortest common
     supersequence of each ordering set in ``sigmas[B, P, n]``.
 
     Layered BFS over all B sets at once.  State (b, progress) has the key
-    b*(n+1)**P + sum_k progress_k*(n+1)**(P-1-k); appending symbol s adds
-    (n+1)**(P-1-k) for every ordering k whose next required symbol is s.
-    Each new state keeps its first occurrence in (frontier position, symbol)
-    order, so every layer lists its states in the order a FIFO queue would
-    discover them, and the first path to reach a goal is the
-    lexicographically smallest shortest one.
+    b*(n+1)**P + sum_k progress_k*(n+1)**(P-1-k), an index into the dense
+    mask ``seen``.  Appending symbol s adds (n+1)**(P-1-k) for every
+    ordering k whose next required symbol is s; the two ``_delta_table``
+    halves hold those sums, so the successors of a frontier are two row
+    gathers.  Sorting the unseen successors by (key, position) keeps each
+    new state's first occurrence in (frontier position, symbol) order, so
+    every layer lists its states in the order a FIFO queue would discover
+    them, and the first path to reach a goal is the lexicographically
+    smallest shortest one.
     """
     sigmas = np.asarray(sigmas, dtype=np.int64)
     batch, n_perms, n = sigmas.shape
-    weights = (n + 1) ** np.arange(n_perms - 1, -1, -1, dtype=np.int64)
-    # need[b, k*(n+1) + p]: the symbol ordering k of set b waits for at progress p
-    need = np.concatenate([sigmas, np.full((batch, n_perms, 1), -1)], axis=2).reshape(batch, -1)
-    rows = np.arange(n_perms) * (n + 1)
-    starts = np.arange(batch, dtype=np.int64) * (n + 1) ** n_perms
+    radix = n + 1
+    weights = radix ** np.arange(n_perms - 1, -1, -1, dtype=np.int64)
+    # need[b, k, p]: the symbol ordering k of set b waits for at progress p;
+    # n (no symbol) once the ordering is complete
+    need = np.concatenate([sigmas, np.full((batch, n_perms, 1), n)], axis=2)
+    split = n_perms // 2
+    high = _delta_table(need[:, :split], weights[:split], n)
+    low = _delta_table(need[:, split:], weights[split:], n)
+    low_span = radix ** (n_perms - split)
+    starts = np.arange(batch, dtype=np.int64) * radix ** n_perms
     goals = starts + n * weights.sum()
     lengths = np.where(goals == starts, 0, -1)  # n == 0: the empty sequence
     ends = np.zeros(batch, dtype=np.int64)      # each goal's index in its layer
-    member = np.flatnonzero(lengths < 0)        # frontier: set, key, progress
+    member = np.flatnonzero(lengths < 0)        # frontier: set and key
     keys = starts[member]
-    progress = np.zeros((len(member), n_perms), dtype=np.int64)
     origin = np.arange(len(member))             # frontier entry -> index in its layer
-    seen = np.sort(starts)
+    seen = np.zeros(batch * radix ** n_perms, dtype=bool)  # untouched pages stay unmapped
+    seen[starts] = True
     layers = []                                 # (parent index, symbol) per layer
     while len(member):
-        nxt = need[member[:, None], rows + progress]
-        delta = np.stack([(nxt == s) @ weights for s in range(n)], axis=1).ravel()
-        slot = np.flatnonzero(delta)            # drop symbols that advance nothing
-        cand = np.repeat(keys, n)[slot] + delta[slot]
-        pos = np.minimum(np.searchsorted(seen, cand), len(seen) - 1)
-        unseen = seen[pos] != cand
-        slot, cand = slot[unseen], cand[unseen]
-        fresh, first = np.unique(cand, return_index=True)
-        seen = np.sort(np.concatenate([seen, fresh]), kind="stable")  # merges two sorted runs
-        first.sort()
+        row, rest = np.divmod(keys, low_span)   # row = b*radix**split + high progress
+        cand = (keys[:, None] + high.take(row, axis=0)
+                + low.take(member * low_span + rest, axis=0)).ravel()
+        slot = np.flatnonzero(~seen[cand])      # a symbol that advances nothing stays on a seen key
+        cand = cand[slot]
+        count = len(cand)
+        # by key, ties by position; keys * count stays far below 2**63 at the
+        # scs and census sizes
+        ranked = np.sort(cand * count + np.arange(count))
+        key = ranked // count
+        head = np.empty(count, dtype=bool)
+        head[:1] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        first = np.sort(ranked[head] % count)
         slot, keys = slot[first], cand[first]
-        parent, symbol = slot // n, slot % n
+        seen[keys] = True
+        parent, symbol = np.divmod(slot, n)
         layers.append((origin[parent], symbol))
         member = member[parent]
-        progress = progress[parent] + (nxt[parent] == symbol[:, None])
         done = np.flatnonzero(keys == goals[member])
-        lengths[member[done]] = len(layers)
-        ends[member[done]] = done
-        live = np.flatnonzero(lengths[member] < 0)
-        member, keys, progress, origin = member[live], keys[live], progress[live], live
+        origin = np.arange(len(keys))
+        if len(done):                           # finished sets leave the frontier
+            lengths[member[done]] = len(layers)
+            ends[member[done]] = done
+            origin = np.flatnonzero(lengths[member] < 0)
+            member, keys = member[origin], keys[origin]
     symbols = np.zeros((batch, len(layers)), dtype=np.int64)
     for depth in range(len(layers), 0, -1):   # walk every path back from its goal
         on = np.flatnonzero(lengths >= depth)
@@ -163,24 +192,52 @@ class QuartetCensus:
             raise ValueError("total disagrees with the histogram")
 
 
+def _orbit_keys(quartets, perms):
+    """Orbit key of each quartet of ordering indices (rows of ``quartets``,
+    identity first, indices into ``perms``, the orderings in lexicographic
+    order).  Relabeling by a member's inverse, with or without reversing
+    every word first, keeps the minimal supersequence length and yields the
+    <= 8 identity-containing images of a quartet; the key is the smallest
+    image, sorted and read as a base-n! number."""
+    count, n = perms.shape
+    digits = n ** np.arange(n - 1, -1, -1)
+    index = np.zeros(n ** n, dtype=np.int32)
+    index[perms @ digits] = np.arange(count)
+    compose = index[perms[:, perms] @ digits]     # compose[x, y]: y relabeled by x
+    inverse = index[np.argsort(perms, axis=1) @ digits]
+    reverse = index[perms[:, ::-1] @ digits]
+    best = np.full(len(quartets), count ** 3)
+    for rows in (quartets, reverse[quartets]):
+        for anchor in range(rows.shape[1]):
+            image = np.sort(compose[inverse[rows[:, anchor]][:, None], rows], axis=1)
+            key = (image[:, 1] * count + image[:, 2]) * count + image[:, 3]
+            np.minimum(best, key, out=best)
+    return best
+
+
 def quartet_census(n_labels: int = 4, collect: int | None = None) -> QuartetCensus:
     """Minimal-length histogram over all quartets of distinct orderings of
     ``n_labels`` labels (1 to 5) that contain the identity ordering.  Every
     quartet is a relabeling of one that contains the identity, and
     relabeling keeps the minimal length, so fixing the identity loses
-    nothing.  The quartets are searched in batches of ``_CHUNK``.
-    ``collect`` optionally gathers the quartets of one specific length."""
+    nothing.  Quartets that relabeling and reversal map onto each other
+    share their length, so only the first quartet of each such orbit is
+    searched, in batches of ``_CHUNK``.  ``collect`` optionally gathers the
+    quartets of one specific length, in quartet order."""
     if not 1 <= n_labels <= 5:
         raise ValueError(f"n_labels must be between 1 and 5, got {n_labels}")
-    ident = tuple(range(n_labels))
-    others = [p for p in itertools.permutations(range(n_labels)) if p != ident]
-    quartets = [(ident,) + trio for trio in itertools.combinations(others, 3)]
-    hist: dict[int, int] = {}
-    collected: list[tuple[str, ...]] = []
-    for lo in range(0, len(quartets), _CHUNK):
-        chunk = quartets[lo:lo + _CHUNK]
-        for quartet, path in zip(chunk, _shortest_paths(chunk)):
-            hist[len(path)] = hist.get(len(path), 0) + 1
-            if len(path) == collect:
-                collected.append(tuple(PermutationSet(quartet).to_strings()))
-    return QuartetCensus(dict(sorted(hist.items())), len(quartets), tuple(collected))
+    perms = np.array(list(itertools.permutations(range(n_labels))))
+    trios = itertools.chain.from_iterable(itertools.combinations(range(1, len(perms)), 3))
+    quartets = np.fromiter(trios, dtype=np.int32).reshape(-1, 3)
+    quartets = np.concatenate([np.zeros((len(quartets), 1), dtype=np.int32), quartets], axis=1)
+    _, first, orbit = np.unique(_orbit_keys(quartets, perms), return_index=True,
+                                return_inverse=True)
+    lengths = np.array([len(path) for lo in range(0, len(first), _CHUNK)
+                        for path in _shortest_paths(perms[quartets[first[lo:lo + _CHUNK]]])],
+                       dtype=np.int64)[orbit]
+    values, counts = np.unique(lengths, return_counts=True)
+    collected = ()
+    if collect is not None:
+        words = ["".join(_LABELS[j] for j in p) for p in perms]
+        collected = tuple(tuple(words[i] for i in row) for row in quartets[lengths == collect])
+    return QuartetCensus(dict(zip(values.tolist(), counts.tolist())), len(quartets), collected)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from switchlab import (PermutationSet, SIGMA_STAR, embed_sequence,
                        is_supersequence, quartet_census, scs)
+from switchlab import supersequences
 from switchlab.supersequences import _shortest_paths
 
 
@@ -64,6 +66,34 @@ def test_embed_sequence_validates():
         embed_sequence("ABCD", SIGMA_STAR)
 
 
+def identity_quartets(n):
+    ident = tuple(range(n))
+    others = [p for p in itertools.permutations(range(n)) if p != ident]
+    return [(ident,) + trio for trio in itertools.combinations(others, 3)]
+
+
+# independent oracle: bottom-up DP over the (n+1)**P prefix lattice, no BFS
+def dp_lengths(sigmas):
+    """Minimal supersequence length of each ordering set in sigmas[B, P, n]:
+    f(goal) = 0 and f(p) = 1 + min over advancing letters a of f(delta(p, a))."""
+    sigmas = np.asarray(sigmas)
+    batch, n_perms, n = sigmas.shape
+    prefixes = np.array(list(itertools.product(range(n + 1), repeat=n_perms)))
+    weights = (n + 1) ** np.arange(n_perms - 1, -1, -1)   # prefixes[key] @ weights == key
+    need = np.concatenate([sigmas, np.full((batch, n_perms, 1), -1)], axis=2)
+    waits = need[:, np.arange(n_perms), prefixes]          # [B, key, P]
+    sets = np.arange(batch)
+    f = np.full((batch, len(prefixes)), np.inf)
+    f[:, -1] = 0
+    for key in range(len(prefixes) - 2, -1, -1):           # successors have larger keys
+        best = np.full(batch, np.inf)
+        for letter in range(n):
+            step = (waits[:, key] == letter) @ weights
+            best = np.where(step > 0, np.minimum(best, f[sets, key + step]), best)
+        f[:, key] = 1 + best
+    return f[:, 0].astype(int).tolist()
+
+
 def test_scs_matches_brute_force_on_small_sets():
     rng = np.random.default_rng(0)
     all3 = ["".join(p) for p in itertools.permutations("ABC")]
@@ -109,6 +139,73 @@ def test_quartet_census_counts():
     census = quartet_census()
     assert census.total == 1771
     assert census.histogram == {6: 37, 7: 946, 8: 779, 9: 9}
+
+
+def test_quartet_census_by_dp():
+    lengths = dp_lengths(identity_quartets(4))
+    assert len(lengths) == 1771
+    assert {k: lengths.count(k) for k in sorted(set(lengths))} == {6: 37, 7: 946, 8: 779, 9: 9}
+
+
+def test_five_label_census():
+    census = quartet_census(n_labels=5)
+    assert census.total == 273_819
+    assert census.histogram == {7: 123, 8: 9726, 9: 90190, 10: 149090, 11: 24552, 12: 138}
+
+
+def test_scs_sequences_of_every_quartet_are_pinned():
+    # SHA-256 of the newline-joined sequences, taken from the sorted-array
+    # BFS that preceded the mask search; it fixes every tie-break
+    sequences = "\n".join(scs(PermutationSet(q)).sequence for q in identity_quartets(4))
+    assert (hashlib.sha256(sequences.encode()).hexdigest()
+            == "17b183e4d548d8436c6c7224942db226d01085e5c021be8b71cd52a8c0c6d58b")
+
+
+@pytest.mark.parametrize("n, orbits", [(3, 3), (4, 265)])
+def test_orbit_census_equals_a_search_of_every_quartet(n, orbits, monkeypatch):
+    quartets = identity_quartets(n)
+    lengths = [len(path) for path in _shortest_paths(quartets)]
+    searched = []
+    search = supersequences._shortest_paths
+    monkeypatch.setattr(supersequences, "_shortest_paths",
+                        lambda sigmas: searched.append(len(sigmas)) or search(sigmas))
+    for length in sorted(set(lengths)) + [max(lengths) + 1]:
+        searched.clear()
+        census = quartet_census(n_labels=n, collect=length)
+        assert sum(searched) == orbits
+        assert census.total == len(quartets)
+        assert census.histogram == {k: lengths.count(k) for k in sorted(set(lengths))}
+        assert census.collected == tuple(tuple(PermutationSet(q).to_strings())
+                                         for q, k in zip(quartets, lengths) if k == length)
+
+
+@settings(max_examples=30, deadline=None)
+@given(trio=st.lists(st.permutations(range(5)), min_size=3, max_size=3, unique_by=tuple)
+       .filter(lambda rows: tuple(range(5)) not in map(tuple, rows)))
+def test_dp_matches_scs_on_five_label_quartets(trio):
+    rows = [tuple(range(5))] + [tuple(row) for row in trio]
+    assert dp_lengths([rows]) == [scs(PermutationSet(rows)).length]
+
+
+def relabeled(rows, anchor):
+    """Every row relabeled by the inverse of ``anchor``, which becomes the identity."""
+    inverse = np.argsort(anchor)
+    return [tuple(int(inverse[label]) for label in row) for row in rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), data=st.data())
+def test_scs_length_is_invariant_under_the_orbit_maps(n, data):
+    # the two maps the orbit census relies on
+    rows = [tuple(row) for row in
+            data.draw(ordering_sets(n, data.draw(st.integers(1, min(5, math.factorial(n))))))]
+    length = scs(PermutationSet(rows, require_identity_reference=False)).length
+    anchor = data.draw(st.sampled_from(rows))
+    image = PermutationSet(relabeled(rows, anchor), require_identity_reference=False)
+    assert scs(image).length == length
+    reversed_rows = [row[::-1] for row in rows]
+    image = PermutationSet(relabeled(reversed_rows, anchor[::-1]), require_identity_reference=False)
+    assert scs(image).length == length
 
 
 def ordering_sets(n, size):
