@@ -209,16 +209,11 @@ def _expect_column(oracle: OracleSet, table: str, y: int) -> None:
 def attack_table1(oracle: OracleSet) -> AttackTranscript:
     """X-basis tests on the first and third gates distinguish identity from
     Z and decode the column directly; two queries, always correct."""
-    queries = []
     rec_a, out_a = _query(oracle, 0, _PLUS, "X")
-    queries.append(rec_a)
     rec_c, out_c = _query(oracle, 2, _PLUS, "X")
-    queries.append(rec_c)
-    a_is_z = out_a == -1
-    c_is_z = out_c == -1
-    y = {(False, False): 0, (True, True): 1, (False, True): 2, (True, False): 3}[(a_is_z, c_is_z)]
+    y = {(1, 1): 0, (-1, -1): 1, (1, -1): 2, (-1, 1): 3}[(out_a, out_c)]   # -1: a Z gate
     _expect_column(oracle, "table1", y)
-    return AttackTranscript(tuple(queries), y, "table1")
+    return AttackTranscript((rec_a, rec_c), y, "table1")
 
 
 def attack_table2(oracle: OracleSet) -> AttackTranscript:
@@ -251,12 +246,6 @@ def attack_combined(oracle: OracleSet) -> AttackTranscript:
     """Identify the table first: a Z-test on the fourth gate separates X
     (first table) from identity (second table, columns 0-2); then dispatch.
     The shared column 3 decodes identically either way."""
-    queries = []
     rec_d, out_d = _query(oracle, 3, _ZERO, "Z")
-    queries.append(rec_d)
-    if out_d == -1:
-        inner = attack_table1(oracle)
-    else:
-        inner = attack_table2(oracle)
-    return AttackTranscript(tuple(queries) + inner.queries, inner.guessed_y,
-                            inner.table_guess)
+    inner = attack_table1(oracle) if out_d == -1 else attack_table2(oracle)
+    return AttackTranscript((rec_d,) + inner.queries, inner.guessed_y, inner.table_guess)

@@ -40,10 +40,15 @@ class InvariantViolation(RuntimeError):
 
 
 def kron_all(factors) -> np.ndarray:
-    """Kronecker product of a sequence of arrays, first factor slowest."""
+    """Kronecker product of a sequence of vectors or matrices, first factor
+    slowest: the same multiplies, in the same order, as chained ``np.kron``."""
     out = np.array([[1.0 + 0j]]) if np.ndim(factors[0]) == 2 else np.array([1.0 + 0j])
-    for f in factors:
-        out = np.kron(out, f)
+    for f in map(np.asarray, factors):
+        if out.ndim == f.ndim == 1:
+            out = (out[:, None] * f).reshape(-1)
+        else:  # np.kron reads a vector as one row
+            out, f = out.reshape(-1, out.shape[-1]), f.reshape(-1, f.shape[-1])
+            out = (out[:, None, :, None] * f[:, None]).reshape(len(out) * len(f), -1)
     return out
 
 

@@ -13,8 +13,9 @@ traced out, so it has rank <= 2.  :class:`ProcessMatrix` therefore stores a
 factor A with W = A A^dagger: positivity holds by construction, and witness
 values and superinstrument blocks are computed from the rows of A.  The
 dense W is built only on request.  The decomposition verifier takes dense
-parts (they may come from anywhere) and checks positivity on each part's
-support only.
+parts (they may come from anywhere), reads each once for its support, checks
+positivity and takes the readout trace on the support block, and rejects a
+part with a non-finite entry.
 
 One fixed layout (asserted by tests), slowest factor first:
 
@@ -48,14 +49,16 @@ _EYE = np.eye(2, dtype=complex)
 
 
 def _psd_violation(mat: np.ndarray) -> float:
-    """0.0 when the Hermitian part is PSD within CCGO_TOL (cheap Cholesky
-    certificate of the shifted matrix), else the eigenvalue defect."""
+    """Larger of the Hermitian residual max|mat - mat^dagger| and the
+    eigenvalue defect of the Hermitian part, taken as 0.0 when a Cholesky of
+    that part shifted by CCGO_TOL certifies it PSD within CCGO_TOL."""
+    herm_res = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
     h = (mat + mat.conj().T) / 2
     try:
         np.linalg.cholesky(h + CCGO_TOL * np.eye(h.shape[0]))
-        return 0.0
+        return herm_res
     except np.linalg.LinAlgError:
-        return max(0.0, -float(np.linalg.eigvalsh(h).min()))
+        return max(herm_res, -float(np.linalg.eigvalsh(h).min()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,8 +301,19 @@ def _identity_residual(t: np.ndarray, i: int) -> float:
     n = t.ndim // 2
     t = np.moveaxis(t, [i, n + i], [0, 1])
     r = (t[0, 0] + t[1, 1]) / 2
-    return float(max(np.abs(t[0, 0] - r).max(), np.abs(t[1, 1] - r).max(),
-                     np.abs(t[0, 1]).max(), np.abs(t[1, 0]).max()))
+    return float(np.max([np.abs(t[0, 0] - r).max(), np.abs(t[1, 1] - r).max(),
+                         np.abs(t[0, 1]).max(), np.abs(t[1, 0]).max()]))
+
+
+def _support(mat: np.ndarray) -> np.ndarray:
+    """Indices whose row or column of ``mat`` holds a nonzero, read in blocks of 64 rows."""
+    flat = np.ascontiguousarray(mat).view(np.float64)  # real and imaginary parts side by side
+    rows, cols = [], np.zeros(flat.shape[1], dtype=bool)
+    for r in range(0, len(flat), 64):
+        nonzero = flat[r:r + 64] != 0
+        rows.append(nonzero.any(axis=1))
+        cols |= nonzero.any(axis=0)
+    return np.flatnonzero(np.concatenate(rows) | cols.reshape(-1, 2).any(axis=1))
 
 
 def verify_ccgo_decomposition(parts) -> CcgoReport:
@@ -309,47 +323,48 @@ def verify_ccgo_decomposition(parts) -> CcgoReport:
     semidefinite; for each ordering (i,j,k,l) the readout-traced part is
     identity on l_O; tracing slot l leaves identity on k_O; summing over k
     and tracing leaves identity on j_O; summing over j likewise on i_O.
+    Each part is read once, for its support (indices whose row or column
+    holds a nonzero); the rest uses the support block.  Non-finite parts raise.
     """
     orderings = list(itertools.permutations(PARTY_NAMES))
     keys = {tuple(k) for k in parts.keys()}
     if keys != set(orderings):
         raise ValueError("need exactly the 24 orderings of A, B, C, D as keys")
     d = PARTY_DIM * 4
+    psd_checks: list[ConstraintCheck] = []
     checks: list[ConstraintCheck] = []
-    total_trace = 0.0
+    traces: list[float] = []
 
-    # operator tensors (2,)*2k over the party qubits of the k slots left
-    reduced: dict[tuple, np.ndarray] = {}
-    for key in orderings:
-        mat = np.asarray(parts[key], dtype=complex)
-        if mat.shape != (d, d):
-            raise ValueError(f"part {key} has shape {mat.shape}, expected {(d, d)}")
-        total_trace += float(np.trace(mat).real)
-        # Outside the support (indices whose row or column holds a nonzero)
-        # both mat and mat^dagger vanish, so the Hermitian residual and the
-        # PSD defect of the support block are those of the whole part.
-        nonzero = mat != 0
-        support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-        if support.size == 0:
-            herm_res, eig_defect = 0.0, 0.0
-        else:
+    def readout_traced():  # (2,)*16 tensors in sorted order, psd-checked as read
+        for key in orderings:
+            mat = np.asarray(parts[key], dtype=complex)
+            if mat.shape != (d, d):
+                raise ValueError(f"part {key} has shape {mat.shape}, expected {(d, d)}")
+            traces.append(float(np.trace(mat).real))
+            # Outside the support both mat and mat^dagger vanish, so the
+            # Hermitian residual, PSD defect and readout trace of the support
+            # block are those of the part, and it holds every non-finite entry.
+            support = _support(mat)
             sub = mat if support.size == d else mat[np.ix_(support, support)]
-            herm_res = float(np.max(np.abs(sub - sub.conj().T)))
-            eig_defect = _psd_violation(sub)
-        psd_ok = herm_res <= CCGO_TOL and eig_defect <= CCGO_TOL
-        checks.append(ConstraintCheck(f"psd[{''.join(key)}]", psd_ok,
-                                      max(herm_res, eig_defect)))
-        readout_traced = np.trace(mat.reshape(PARTY_DIM, 4, PARTY_DIM, 4), axis1=1, axis2=3)
-        reduced[key] = readout_traced.reshape((2,) * 16)
+            if not np.isfinite(sub).all():
+                raise ValueError(f"part {''.join(key)} has non-finite entries")
+            res = _psd_violation(sub)
+            psd_checks.append(ConstraintCheck(f"psd[{''.join(key)}]", res <= CCGO_TOL, res))
+            # entry pairs sharing c, added in increasing c as a trace over c adds them
+            a, b = np.nonzero(support[:, None] % 4 == support % 4)
+            traced = np.zeros((PARTY_DIM, PARTY_DIM), dtype=complex)
+            np.add.at(traced, (support[a] // 4, support[b] // 4), sub[a, b])
+            yield key, traced.reshape((2,) * 16)
 
     # prefix lengths 4 -> 1: each reduced part must be identity on the output
     # of its prefix's last slot; tracing that slot out and summing over the
-    # completions of each shorter prefix gives the next level's parts
+    # completions of each shorter prefix gives the next level's parts; parts
+    # are read one at a time, so only three-slot tensors accumulate
+    level = readout_traced()
     for _ in range(len(PARTY_NAMES)):
         shorter: dict[tuple, np.ndarray] = {}
-        for prefix in sorted(reduced):
+        for prefix, t in level:
             last = prefix[-1]
-            t = reduced[prefix]
             n = t.ndim // 2
             i = 2 * sorted(prefix).index(last)  # axis of last_I; last_O is next
             res = _identity_residual(t, i + 1)
@@ -360,7 +375,8 @@ def verify_ccgo_decomposition(parts) -> CcgoReport:
             tr = np.trace(t.reshape(side + side), axis1=1, axis2=4).reshape((2,) * (2 * n - 4))
             head = prefix[:-1]
             shorter[head] = shorter[head] + tr if head in shorter else tr
-        reduced = shorter
+        level = sorted(shorter.items())
 
+    total_trace = sum(traces)
     normalized = abs(total_trace - 2 ** 4) <= CCGO_TRACE_RTOL * 2 ** 4
-    return CcgoReport(tuple(checks), total_trace, normalized)
+    return CcgoReport(tuple(psd_checks + checks), total_trace, normalized)

@@ -256,11 +256,18 @@ def _checked_target(oracle: OracleSet, perms: PermutationSet, target_state) -> n
 
 
 def _finish(dist: np.ndarray, claimed_y: int | None) -> RunResult:
-    """Normalize a raw distribution; RunResult checks it and clips rounding
-    negatives, which cannot win the argmax of a distribution summing to 1."""
-    dist = dist / dist.sum()
-    success = max(float(dist[claimed_y]), 0.0) if claimed_y is not None else None
-    return RunResult(dist, int(dist.argmax()), success)  # ties break to the lowest index
+    """Normalize a raw distribution into a RunResult, summing it once."""
+    total = dist.sum()
+    p = dist / total  # sums to 1 up to rounding when the total is finite
+    if not (p.min() >= -PROBABILITY_TOL and math.isfinite(total)):  # NaN fails too
+        return RunResult(p, 0, None)  # raises RunResult's error
+    success = max(float(p[claimed_y]), 0.0) if claimed_y is not None else None
+    np.maximum(p, 0.0, out=p)  # rounding negatives, which cannot win the argmax
+    p.flags.writeable = False
+    result = RunResult.__new__(RunResult)  # checked above, so __post_init__ is skipped
+    result.__dict__.update(outcome_distribution=p, decoded_y=int(p.argmax()),
+                           success_probability=success)  # ties break to the lowest index
+    return result
 
 
 def run_hadamard_algorithm(oracle: OracleSet, perms: PermutationSet, m: SignMatrix,

@@ -38,6 +38,50 @@ def test_kron_all_order():
     assert_allclose(kron_all([a, b, c]), np.kron(np.kron(a, b), c))
 
 
+def _kron_chain(factors):
+    out = np.array([[1.0 + 0j]]) if np.ndim(factors[0]) == 2 else np.array([1.0 + 0j])
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def test_kron_all_is_bit_identical_to_a_kron_chain():
+    rng = np.random.default_rng(12)
+
+    def rand(*shape):   # complex entries, about a third of the parts -0.0
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        flat = z.reshape(-1).view(np.float64)
+        flat[rng.random(flat.size) < 0.3] = -0.0
+        return z
+
+    cases = [
+        [rand(4), rand(4), rand(2), rand(4)],             # vectors
+        [rand(2, 2), rand(3, 3), rand(2, 2)],             # square matrices
+        [rand(2, 3), rand(3, 1), rand(1, 4)],             # rectangular matrices
+        [rand(3), rand(2, 2), rand(4)],                   # vector first, then mixed
+        [rand(2, 2), rand(3), rand(2, 5)],                # matrix first, then mixed
+        [np.array([1.0, -0.0]), np.array([-0.0, 2.0])],   # real vectors, signed zeros
+        [[[1, 2], [3, 4.0]], np.array([[-0.0, 1], [0, -0.0]])],   # nested lists
+        [rand(3)],
+    ]
+    for factors in cases:
+        assert _bits_equal(kron_all(factors), _kron_chain(factors))
+
+
+def test_oracle_choi_ket_is_bit_identical_on_every_promise_set(promise_sets):
+    from switchlab import oracle_choi_ket
+    sets = promise_sets[1]
+    assert len(sets) == 460
+    for oracle in sets:
+        want = _kron_chain([choi_vector(g.matrix) for g in oracle.gates])
+        assert _bits_equal(oracle_choi_ket(oracle), want)
+
+
 def test_random_unitary_and_fidelity():
     rng = np.random.default_rng(9)
     u = random_unitary(4, rng)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -450,6 +451,109 @@ def test_verifier_full_support_psd_parts_pass():
     report = verify_ccgo_decomposition(parts)
     for key in ["ABCD", "DCBA", "CADB"]:
         assert _psd_check(report, key).passed
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_verifier_rejects_non_finite_parts(bad):
+    # one NaN used to fail only psd[ABCD]: the level checks dropped it
+    parts = _zero_parts()
+    comb = definite_order_process("ABCD", basis_state(2, 0), answer_y=0).matrix.copy()
+    comb[5, 9] = bad
+    parts[("A", "B", "C", "D")] = comb
+    with pytest.raises(ValueError, match="part ABCD has non-finite entries"):
+        verify_ccgo_decomposition(parts)
+
+
+ORDERINGS = list(itertools.permutations("ABCD"))
+
+
+def _weighted_combs(seed):
+    """The 24 Dirichlet-weighted definite-order combs, built as the benchmark
+    builds them: a random target and a random answer per ordering."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(len(ORDERINGS)))
+    answers = rng.integers(0, 4, size=len(ORDERINGS))
+    target = random_state(2, rng)
+    return {key: w * definite_order_process("".join(key), target, int(y)).matrix
+            for key, w, y in zip(ORDERINGS, weights, answers)}
+
+
+def _mixed_parts(parts):
+    """Three full-support random PSD parts, one comb shifted by -0.01 on four
+    support diagonal entries and one with a 1e-6i non-Hermitian entry."""
+    rng = np.random.default_rng(16)
+    parts = dict(parts)
+    for key in ORDERINGS[::8]:
+        a = rng.normal(size=(1024, 3)) + 1j * rng.normal(size=(1024, 3))
+        parts[key] = (a @ a.conj().T) / 3000
+    shifted = parts[ORDERINGS[5]].copy()
+    rows = np.flatnonzero(np.abs(shifted).sum(axis=1))[:4]
+    shifted[rows, rows] -= 0.01
+    parts[ORDERINGS[5]] = shifted
+    skewed = parts[ORDERINGS[11]].copy()
+    i, j = np.flatnonzero(np.abs(skewed).sum(axis=1))[:2]
+    skewed[i, j] += 1e-6j
+    parts[ORDERINGS[11]] = skewed
+    return parts
+
+
+def _report_digest(report):
+    h = hashlib.sha256()
+    for c in report.checks:
+        h.update(f"{c.name}|{c.passed}|{c.residual.hex()}\n".encode())
+    h.update(f"{report.trace.hex()}|{report.normalized}".encode())
+    return h.hexdigest()
+
+
+# Reports of the whole-part verifier (a mask and np.trace over each dense
+# part), which the support-block verifier must reproduce bit for bit.  The
+# comb entries come from a BLAS product and the defects from LAPACK, so
+# another numpy build may need the digests captured again from that code.
+COMBS_DIGEST = "012b2b1e48d7c01a35eb1baccef2d6a40d700f296257bf1c0c24485a994d992d"
+MIXED_DIGEST = "c51e41dd070b798914722741e6f4678792b91ea65ecb311eb14537ad322794c6"
+
+
+def _negative_zeros(m):
+    m = m.copy()
+    flat = m.view(np.float64)
+    flat[flat == 0] = -0.0
+    return m
+
+
+def _strided(m):
+    wide = np.zeros((m.shape[0], 2 * m.shape[1]), dtype=m.dtype)
+    wide[:, ::2] = m
+    return wide[:, ::2]   # neither C- nor F-contiguous
+
+
+def test_verifier_report_is_pinned_bit_for_bit():
+    combs = _weighted_combs(15)
+    report = verify_ccgo_decomposition(combs)
+    assert report.passed and report.normalized and len(report.checks) == 88
+    assert _report_digest(report) == COMBS_DIGEST
+    # the same values in other layouts, including one a float64 view refuses
+    strided = _strided(combs[ORDERINGS[0]])
+    assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+    with pytest.raises(ValueError):
+        strided.view(np.float64)
+    for layout in (lambda m: m.conj().T, np.asfortranarray, _strided, _negative_zeros):
+        parts = dict(combs)
+        for key in ORDERINGS[::6]:
+            parts[key] = layout(combs[key])
+            assert np.array_equal(parts[key], combs[key])
+        assert _report_digest(verify_ccgo_decomposition(parts)) == COMBS_DIGEST
+    mixed = _mixed_parts(combs)
+    assert _report_digest(verify_ccgo_decomposition(mixed)) == MIXED_DIGEST
+
+
+def test_verifier_reads_real_parts_as_complex():
+    real, as_complex = _weighted_combs(17), {}
+    for key in ORDERINGS[::6]:
+        real[key] = real[key].real.copy()
+        as_complex[key] = real[key].astype(complex)
+    report = verify_ccgo_decomposition(real)
+    assert _report_digest(report) == _report_digest(
+        verify_ccgo_decomposition({**real, **as_complex}))
 
 
 def test_verifier_rejects_wrong_keys():

@@ -347,6 +347,35 @@ def test_run_result_rejects_non_finite_distributions(bad):
         RunResult(np.array(bad), 0, None)
 
 
+@pytest.mark.parametrize("raw", [[0.1, 0.2, 0.3, 0.4], [1.0, -1e-17, 0.0, 0.0],
+                                 [-0.0, 2.0, -0.0, 0.0], [3e-320, 1e-320, 0.0, 0.0],
+                                 [0.5, 0.5, -1e-10, 0.0], [-0.5, -0.5, 0.0, 0.0]])
+@pytest.mark.parametrize("claimed_y", [None, 0, 1])
+def test_finish_matches_the_public_constructor(raw, claimed_y):
+    # the decode path skips RunResult's second check pass; its result must
+    # be the one RunResult builds from the normalized distribution
+    raw = np.array(raw)
+    got = _finish(raw, claimed_y)
+    p = raw / raw.sum()
+    success = None if claimed_y is None else max(float(p[claimed_y]), 0.0)
+    want = RunResult(p, int(p.argmax()), success)
+    assert np.array_equal(got.outcome_distribution.view(np.uint64),
+                          want.outcome_distribution.view(np.uint64))
+    assert not got.outcome_distribution.flags.writeable
+    assert got.decoded_y == want.decoded_y
+    assert repr(got.success_probability) == repr(want.success_probability)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([0.5, 0.5, -1e-3, 0.0], "negative or NaN"),
+    ([1.0, np.nan, 0.0, 0.0], "negative or NaN"),
+    ([1e308, 1e308, 0.0, 0.0], "must sum to 1"),
+])
+def test_finish_rejects_what_the_public_constructor_rejects(raw, message):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+        _finish(np.array(raw), 0)
+
+
 # ---------------------------------------------------------------------------
 # Fourier variant
 # ---------------------------------------------------------------------------
