@@ -7,15 +7,27 @@ across runs except for the elapsed_ms field.
 
 Each command imports the modules it runs inside its handler, so a cold
 command loads only those.
+
+A command runs OpenBLAS with one thread: no command does enough BLAS work
+to gain from more, and an idle OpenBLAS worker busy-waits about 130 ms
+after numpy loads.  OpenBLAS reads OPENBLAS_NUM_THREADS once, as numpy
+loads it, so this holds only when the CLI is the first to import numpy; a
+value the caller sets is kept, and no child process sees the variable.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
+_ONE_BLAS_THREAD = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+if _ONE_BLAS_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np
+if _ONE_BLAS_THREAD:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .gates import NamedGate, SignMatrix, gate_set_G, hadamard_m4, pauli, sylvester_hadamard
 from .linalg import FIDELITY_FLOOR, InvariantViolation, basis_state

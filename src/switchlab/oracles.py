@@ -34,10 +34,11 @@ _CHUNK = 4096   # assignments per vectorized batch
 def _promise_residuals(prods: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Worst deviation of the ordering products ``prods[..., P, d, d]`` from
     ``signs[x, y]`` times the reference product, per column y: shape
-    ``[..., Y]``."""
+    ``[..., Y]``.  Each ordering's distance to +ref and to -ref is taken once."""
     ref = prods[..., :1, :, :]
-    return np.stack([np.max(np.abs(prods - col[:, None, None] * ref), axis=(-3, -2, -1))
-                     for col in signs.T], axis=-1)
+    near = np.max(np.abs(prods - ref), axis=(-2, -1))
+    far = np.max(np.abs(prods + ref), axis=(-2, -1))
+    return np.max(np.where(signs.T > 0, near[..., None, :], far[..., None, :]), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ def check_promise(oracle: OracleSet, perms: PermutationSet, m: SignMatrix) -> Pr
     for the signs of some column; returns the smallest such column."""
     if m.P != perms.P:
         raise ValueError("sign-matrix order does not match the permutation set")
-    residuals = _promise_residuals(all_products(oracle, perms), m.entries.astype(float))
+    residuals = _promise_residuals(all_products(oracle, perms), m.entries)
     hits = np.flatnonzero(residuals <= PROMISE_TOL)
     if hits.size:
         y = int(hits[0])
@@ -104,7 +105,6 @@ def enumerate_promise_sets(gates, perms: PermutationSet, m: SignMatrix):
         raise ValueError("gate list must be nonempty")
     mats = np.stack([g.matrix for g in gates])
     words = _gate_words(mats, perms.N)
-    signs = m.entries.astype(float)
     shape = (len(gates),) * perms.N
     counts = np.zeros(m.P, dtype=np.int64)
     sets: list[OracleSet] = []
@@ -112,7 +112,7 @@ def enumerate_promise_sets(gates, perms: PermutationSet, m: SignMatrix):
         rows = np.arange(start, min(start + _CHUNK, len(words)))   # no table of all assignments
         q = np.stack(np.unravel_index(rows, shape), axis=1)
         prods = _word_products(words, len(gates), q, perms.index)
-        ok = _promise_residuals(prods, signs) <= PROMISE_TOL
+        ok = _promise_residuals(prods, m.entries) <= PROMISE_TOL
         for c in np.flatnonzero(ok.any(axis=1)):
             y = int(np.argmax(ok[c]))   # smallest satisfied column
             counts[y] += 1

@@ -11,13 +11,13 @@ from switchlab import (OracleSet, PermutationSet, SIGMA_STAR, chart_fixture,
                        check_promise, enumerate_promise_sets,
                        equivalence_classes, find_conjugator,
                        find_rotation_conjugator, gate_set_G, pauli,
-                       verify_classification)
+                       sylvester_hadamard, verify_classification)
 from switchlab import oracles
-from switchlab.linalg import (CONJUGATOR_TOL, DEGENERATE, KEY_DECIMALS, InvariantViolation,
-                              random_unitary)
+from switchlab.linalg import (CONJUGATOR_TOL, DEGENERATE, KEY_DECIMALS, PROMISE_TOL,
+                              InvariantViolation, random_unitary)
 from switchlab.oracles import (_TAU, _certificates, _first_long, _gate_words, _word_products,
                                bloch_rotation)
-from switchlab.switch import NamedGate, _ordering_products
+from switchlab.switch import NamedGate, _ordering_products, all_products
 
 
 def oracle_of(*names):
@@ -115,6 +115,54 @@ def test_promise_relabeling_consistency(m4):
         a = check_promise(orc, SIGMA_STAR, m4)
         b = check_promise(relabeled_oracle, relabeled_perms, m4)
         assert (a.satisfied, a.y) == (b.satisfied, b.y)
+
+
+# reference: one full pass over the products per column of float signs
+def residuals_by_column(prods, signs):
+    ref = prods[..., :1, :, :]
+    return np.stack([np.max(np.abs(prods - col[:, None, None] * ref), axis=(-3, -2, -1))
+                     for col in signs.astype(float).T], axis=-1)
+
+
+def verdict_of(residuals):
+    hits = np.flatnonzero(residuals <= PROMISE_TOL)
+    if hits.size:
+        return True, int(hits[0]), float(residuals[hits[0]])
+    return False, None, float(residuals.min())
+
+
+def test_promise_residual_bits_match_the_per_column_form(m4, promise_sets):
+    rng = np.random.default_rng(17)
+    haar = [OracleSet(tuple(NamedGate(f"u{i}", random_unitary(2, rng)) for i in range(4)))
+            for _ in range(64)]
+    orderings = list(itertools.permutations(range(4)))   # the identity first
+    perms8 = PermutationSet([orderings[k] for k in
+                             (0, *rng.choice(np.arange(1, 24), size=7, replace=False))])
+    m8 = sylvester_hadamard(3)
+    paulis = [oracle_of(*names) for names in itertools.product("1ZXY", repeat=4)]
+    cases = [(orc, SIGMA_STAR, m4) for orc in promise_sets[1] + haar]
+    cases += [(orc, perms8, m8) for orc in haar + paulis]
+    for orc, perms, m in cases:
+        expected = residuals_by_column(all_products(orc, perms), m.entries)
+        got = oracles._promise_residuals(all_products(orc, perms), m.entries)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        verdict = check_promise(orc, perms, m)
+        assert (verdict.satisfied, verdict.y, verdict.residual) == verdict_of(expected)
+    assert any(check_promise(orc, perms8, m8).satisfied for orc in paulis)
+
+    # one full enumeration chunk, then the same products with every zero part negative
+    words = _gate_words(np.stack([g.matrix for g in gate_set_G()]), 4)
+    q = np.stack(np.unravel_index(np.arange(oracles._CHUNK), (10,) * 4), axis=1)
+    chunk = _word_products(words, 10, q, SIGMA_STAR.index)
+    signed = chunk.copy()
+    signed.real[signed.real == 0] = -0.0
+    signed.imag[signed.imag == 0] = -0.0
+    assert np.signbit(signed.real).sum() > np.signbit(chunk.real).sum()
+    for prods in (chunk, signed):
+        expected = residuals_by_column(prods, m4.entries)
+        got = oracles._promise_residuals(prods, m4.entries)
+        assert got.shape == (oracles._CHUNK, 4)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
