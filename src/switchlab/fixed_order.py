@@ -20,7 +20,7 @@ import numpy as np
 from .linalg import EXACT_TEST_TOL, InvariantViolation, as_state, basis_state, kron_all
 from .oracles import chart_fixture
 from .supersequences import SupersequenceResult
-from .switch import _LABELS, OracleSet, PermutationSet, _branch_rows, _ordering_products
+from .switch import _LABELS, OracleSet, PermutationSet, _branch_rows, _ordering_products, _products
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,10 @@ def _joint_states(circuit: FixedOrderCircuit, mats: np.ndarray,
     wires = np.zeros((n_sets, p, n + 1, d), dtype=complex)
     wires[:, :, 0] = target
     wires[:, :, 1:, 0] = 1.0
-    branches = np.arange(p)
+    flat = wires.reshape(n_sets, p * (n + 1), d)   # wire w of branch x is row x (N + 1) + w
     gates_t = mats.swapaxes(-1, -2)    # v @ U^T applies U to the row vectors v
-    for i, w in zip(circuit.symbols, circuit.wires):
-        wires[:, branches, w] = wires[:, branches, w] @ gates_t[:, i]
+    for i, rows in zip(circuit.symbols, circuit.wires + (n + 1) * np.arange(p)):
+        flat[:, rows] = flat[:, rows] @ gates_t[:, i]
     joint = wires[:, :, 0]
     for k in range(1, n + 1):   # target (x) ancilla_A (x) ... (x) ancilla_N, first slowest
         joint = (joint[..., :, None] * wires[:, :, k, None, :]).reshape(n_sets, p, -1)
@@ -130,11 +130,13 @@ def ancilla_factor(circuit: FixedOrderCircuit, oracle: OracleSet) -> np.ndarray:
                      for i, u in enumerate(oracle.matrices())])
 
 
-def _fidelities(circuit: FixedOrderCircuit, mats: np.ndarray,
-                control: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Switch-equivalence fidelities for oracle stacks ``mats[S, N, d, d]``, shape [S]."""
+def _fidelities(circuit: FixedOrderCircuit, mats: np.ndarray, control: np.ndarray,
+                target: np.ndarray, pis: np.ndarray | None = None) -> np.ndarray:
+    """Switch-equivalence fidelities for oracle stacks ``mats[S, N, d, d]``, shape [S];
+    ``pis[S, P, d, d]`` are their ordering products, computed when not given."""
     joint = _joint_states(circuit, mats, control, target)
-    reference = _branch_rows(_ordering_products(mats, circuit.perms.index), control, target[None])
+    pis = _ordering_products(mats, circuit.perms.index) if pis is None else pis
+    reference = _branch_rows(pis, control, target[None])
     # the ancillas are the trailing factors: with J the joint state as a
     # (control, target) x ancillas matrix, the reduced state is J J^dagger
     n_sets, size = len(mats), reference[0].size
@@ -147,7 +149,8 @@ def switch_equivalence_fidelity(circuit: FixedOrderCircuit, oracle: OracleSet,
     """Overlap of the ancilla-reduced circuit output with the direct
     controlled-ordering evolution; 1 up to rounding for any valid circuit."""
     control, target = _checked_states(circuit, oracle, control, target)
-    return float(_fidelities(circuit, oracle.matrices()[None], control, target)[0])
+    return float(_fidelities(circuit, oracle.matrices()[None], control, target,
+                             _products(oracle, circuit.perms)[None])[0])
 
 
 # ---------------------------------------------------------------------------

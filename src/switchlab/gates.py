@@ -89,9 +89,12 @@ class SignMatrix:
         if not (np.all(e[0] == 1) and np.all(e[:, 0] == 1)):
             raise ValueError("first row and column must be all +1")
         gate = e.astype(complex) / np.sqrt(p)
-        e.flags.writeable = gate.flags.writeable = False
+        readout = (gate[:, 0], gate.conj().T, gate.conj().T.conj())   # switch._readout's constants
+        for a in (e, gate, *readout):
+            a.flags.writeable = False
         object.__setattr__(self, "entries", e)
         object.__setattr__(self, "_gate", gate)
+        object.__setattr__(self, "_readout", readout)
 
     @property
     def P(self) -> int:

@@ -18,6 +18,8 @@ All functions are pure and never mutate their inputs.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # The tolerance table: each threshold of the package, once, with its reason.
@@ -73,7 +75,7 @@ def as_state(amplitudes) -> np.ndarray:
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if not np.isfinite(v).all():
         raise ValueError("state has non-finite amplitudes")
-    n = np.sqrt(np.vdot(v, v).real)
+    n = math.sqrt(np.vdot(v, v).real)
     if abs(n - 1.0) > ATOL:
         raise ValueError(f"state norm {n} deviates from 1 by more than {ATOL}")
     return v

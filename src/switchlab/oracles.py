@@ -26,7 +26,7 @@ import numpy as np
 
 from .gates import NamedGate, SignMatrix, pauli
 from .linalg import CONJUGATOR_TOL, DEGENERATE, KEY_DECIMALS, PROMISE_TOL, InvariantViolation
-from .switch import OracleSet, PermutationSet, all_products
+from .switch import OracleSet, PermutationSet, _products, all_products
 
 _CHUNK = 4096   # assignments per vectorized batch
 
@@ -113,10 +113,12 @@ def enumerate_promise_sets(gates, perms: PermutationSet, m: SignMatrix):
         q = np.stack(np.unravel_index(rows, shape), axis=1)
         prods = _word_products(words, len(gates), q, perms.index)
         ok = _promise_residuals(prods, m.entries) <= PROMISE_TOL
-        for c in np.flatnonzero(ok.any(axis=1)):
+        hits = np.flatnonzero(ok.any(axis=1))
+        for c, pis in zip(hits, prods[hits]):   # bit for bit what _products would build
             y = int(np.argmax(ok[c]))   # smallest satisfied column
             counts[y] += 1
             sets.append(OracleSet(tuple(gates[i] for i in q[c]), claimed_y=y))
+            _products(sets[-1], perms, known=pis)
     census = EnumerationCensus(int(counts.sum()), tuple(int(c) for c in counts))
     return census, sets
 

@@ -103,6 +103,7 @@ class OracleSet:
         if self.claimed_y is not None and self.claimed_y < 0:
             raise ValueError("claimed_y must be a column index")
         object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "_product_memo", {})   # filled by _products
 
     @property
     def N(self) -> int:
@@ -121,10 +122,6 @@ class OracleSet:
         stack = np.array([g.matrix for g in self.gates])
         stack.flags.writeable = False
         return stack
-
-    @cached_property
-    def _product_memo(self) -> dict:   # filled by switch._products
-        return {}
 
     def names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.gates)
@@ -186,14 +183,18 @@ def _ordering_products(mats: np.ndarray, sigma) -> np.ndarray:
     return out
 
 
-def _products(oracle: OracleSet, perms: PermutationSet, epsilon: float = 0.0) -> np.ndarray:
-    """The oracle's ordering products at overrotation epsilon, built once and kept read-only."""
+def _products(oracle: OracleSet, perms: PermutationSet, epsilon: float = 0.0,
+              known: np.ndarray | None = None) -> np.ndarray:
+    """The oracle's ordering products at overrotation epsilon, built once (or
+    taken from ``known``, when the caller already holds them) and kept read-only."""
     memo, key = oracle._product_memo, (perms.sigma, epsilon)
     if key not in memo:
-        mats = oracle.matrices()
-        if epsilon != 0.0:
-            mats = _overrotation(epsilon) @ mats
-        memo[key] = _ordering_products(mats, perms.index)
+        if known is None:
+            mats = oracle.matrices()
+            if epsilon != 0.0:
+                mats = _overrotation(epsilon) @ mats
+            known = _ordering_products(mats, perms.index)
+        memo[key] = known
         memo[key].flags.writeable = False
     return memo[key]
 
@@ -229,12 +230,19 @@ def _distribution(pis: np.ndarray, u_ctrl: np.ndarray, targets: np.ndarray,
     """Control readout distributions of u_ctrl^-1 . switch . u_ctrl on
     |0>|t>, with the post-switch control coherences scaled by 1 - gamma, for
     products ``pis[..., P, d, d]`` and targets ``[T, d]``; shape ``[..., T, P]``."""
-    joint = _branch_rows(pis, u_ctrl[:, 0], targets)
+    return _readout(pis, (u_ctrl[:, 0], u_ctrl.conj().T, u_ctrl.conj().T.conj()), targets, gamma)
+
+
+def _readout(pis: np.ndarray, readout: tuple, targets: np.ndarray, gamma: float) -> np.ndarray:
+    """``_distribution`` from its constants: u_ctrl[:, 0], u_ctrl^-1 and conj(u_ctrl^-1)."""
+    joint = _branch_rows(pis, readout[0], targets)
     rho = joint @ joint.conj().swapaxes(-1, -2)  # control blocks, target traced out
-    if gamma != 0.0:
-        rho = rho * ((1.0 - gamma) + gamma * np.eye(rho.shape[-1]))
-    uinv = u_ctrl.conj().T
-    return ((uinv @ rho) * uinv.conj()).sum(axis=-1).real
+    if gamma != 0.0:   # times the mask (1 - gamma) + gamma * eye, entry by entry
+        diag = rho.reshape(-1, rho.shape[-1] ** 2)[:, ::rho.shape[-1] + 1]   # a view: rho is new
+        kept = diag * ((1.0 - gamma) + gamma)
+        rho *= 1.0 - gamma
+        diag[...] = kept
+    return ((readout[1] @ rho) * readout[2]).sum(axis=-1).real
 
 
 def _overrotation(epsilon: float) -> np.ndarray:
@@ -259,13 +267,15 @@ def _finish(dist: np.ndarray, claimed_y: int | None) -> RunResult:
     """Normalize a raw distribution into a RunResult, summing it once."""
     total = dist.sum()
     p = dist / total  # sums to 1 up to rounding when the total is finite
-    if not (p.min() >= -PROBABILITY_TOL and math.isfinite(total)):  # NaN fails too
+    values = p.tolist()  # NaN entries come with a non-finite total, or a zero one (min -inf/NaN)
+    if not (min(values) >= -PROBABILITY_TOL and math.isfinite(total)):
         return RunResult(p, 0, None)  # raises RunResult's error
-    success = max(float(p[claimed_y]), 0.0) if claimed_y is not None else None
-    np.maximum(p, 0.0, out=p)  # rounding negatives, which cannot win the argmax
+    success = max(values[claimed_y], 0.0) if claimed_y is not None else None
+    if min(values) <= 0.0:
+        np.maximum(p, 0.0, out=p)  # rounding negatives and -0.0, which cannot win the argmax
     p.flags.writeable = False
     result = RunResult.__new__(RunResult)  # checked above, so __post_init__ is skipped
-    result.__dict__.update(outcome_distribution=p, decoded_y=int(p.argmax()),
+    result.__dict__.update(outcome_distribution=p, decoded_y=values.index(max(values)),
                            success_probability=success)  # ties break to the lowest index
     return result
 
@@ -282,8 +292,7 @@ def run_hadamard_algorithm(oracle: OracleSet, perms: PermutationSet, m: SignMatr
         raise ValueError("the sign-matrix algorithm runs qubit targets only")
     target = _checked_target(oracle, perms, target_state)
     noise = noise or _NOISELESS
-    dist = _distribution(_products(oracle, perms, noise.epsilon), m.as_gate(), target[None],
-                         noise.gamma)
+    dist = _readout(_products(oracle, perms, noise.epsilon), m._readout, target[None], noise.gamma)
     return _finish(dist[0], oracle.claimed_y)
 
 

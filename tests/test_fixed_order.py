@@ -197,6 +197,17 @@ def test_branch_batched_simulation_matches_per_branch_loop(seed, n, p, n_sets):
         assert abs(f - switch_equivalence_fidelity(circuit, orc, control, psi)) <= 1e-14
 
 
+def test_fidelity_from_the_product_memo_is_bit_identical(star_circuit, m4, promise_sets):
+    # the scalar call takes the set's memoized products (for enumerated sets
+    # read from the word table); a stack of one computes them from the gates
+    control, psi = m4.as_gate()[:, 0], random_state(2, np.random.default_rng(13))
+    sets = promise_sets[1]
+    got = np.array([switch_equivalence_fidelity(star_circuit, s, control, psi) for s in sets])
+    want = np.concatenate([_fidelities(star_circuit, s.matrices()[None], control, psi)
+                           for s in sets])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_wire_plan(star_circuit):
     wires = star_circuit.wires
     assert wires.shape == (9, 4) and not wires.flags.writeable

@@ -64,6 +64,20 @@ def test_sign_matrix_validation():
         SignMatrix(np.array([[1, 0], [0, 1]]))
 
 
+@pytest.mark.parametrize("m", [hadamard_m4(), sylvester_hadamard(0), sylvester_hadamard(3)])
+def test_sign_matrix_readout_constants_are_read_only_copies(m):
+    # the decode kernel reads these in place of H[:, 0], H^-1 and conj(H^-1) per call
+    h = m.as_gate()
+    uinv = h.conj().T
+    for kept, fresh in zip(m._readout, (h[:, 0], uinv, uinv.conj())):
+        assert not kept.flags.writeable
+        assert kept.strides == fresh.strides and kept.dtype == fresh.dtype
+        assert kept.tobytes() == fresh.tobytes()   # the bits, signed zeros included
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 0.0
+    assert not h.flags.writeable and not m.entries.flags.writeable
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 6])
 def test_sylvester_construction(k):
     m = sylvester_hadamard(k)

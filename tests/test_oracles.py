@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from switchlab import (OracleSet, PermutationSet, SIGMA_STAR, chart_fixture,
+from switchlab import (NoiseModel, OracleSet, PermutationSet, SIGMA_STAR, chart_fixture,
                        check_promise, enumerate_promise_sets,
                        equivalence_classes, find_conjugator,
-                       find_rotation_conjugator, gate_set_G, pauli,
-                       sylvester_hadamard, verify_classification)
+                       find_rotation_conjugator, gate_set_G, pauli, random_state,
+                       run_hadamard_algorithm, sylvester_hadamard, verify_classification)
 from switchlab import oracles
 from switchlab.linalg import (CONJUGATOR_TOL, DEGENERATE, KEY_DECIMALS, PROMISE_TOL,
                               InvariantViolation, random_unitary)
@@ -245,6 +245,54 @@ def test_enumeration_matches_per_assignment_loop(m4, seed, picks, haar, random_o
         census, sets = enumerate_promise_sets(gates, perms, m4)
     assert [(s.names(), s.claimed_y) for s in sets] == expected
     assert census.per_column == tuple(sum(y == c for _, y in expected) for c in range(4))
+
+
+PAULI_PERMS8 = PermutationSet.from_strings(
+    ["ABCD", "ADBC", "ADCB", "BACD", "BADC", "BCAD", "BCDA", "BDAC"])
+
+
+@pytest.mark.parametrize("case", ["sigma_star", "pauli_p8", "pair_p2"])
+def test_enumerated_sets_carry_their_ordering_products(m4, promise_sets, case):
+    # the enumeration already read each hit's products from the word table;
+    # the set keeps them, bit for bit what _ordering_products builds from its gates
+    if case == "sigma_star":
+        perms, sets = SIGMA_STAR, promise_sets[1]
+    elif case == "pauli_p8":
+        perms = PAULI_PERMS8
+        census, sets = enumerate_promise_sets([pauli(n) for n in "IZXY"], perms,
+                                              sylvester_hadamard(3))
+        assert census.per_column == (46, 6, 0, 0, 0, 6, 0, 6)
+    else:
+        perms = PermutationSet.from_strings(["AB", "BA"])
+        census, sets = enumerate_promise_sets(gate_set_G(), perms, sylvester_hadamard(1))
+        assert census.per_column == (34, 12)
+    for s in sets:
+        known = s._product_memo[(perms.sigma, 0.0)]
+        assert not known.flags.writeable
+        assert known.shape == (perms.P, 2, 2) and known.flags.c_contiguous
+        direct = _ordering_products(s.matrices(), perms.index)
+        assert np.array_equal(known.view(np.uint64), direct.view(np.uint64))
+        assert all_products(s, perms) is known
+    assert sets[3].conjugated(random_unitary(2, np.random.default_rng(8)))._product_memo == {}
+
+
+def test_enumerated_sets_never_rebuild_products_at_zero_overrotation(monkeypatch, m4):
+    calls = []
+
+    def counting(mats, sigma):
+        calls.append(mats.shape)
+        return _ordering_products(mats, sigma)
+
+    monkeypatch.setattr("switchlab.switch._ordering_products", counting)
+    census, sets = enumerate_promise_sets(gate_set_G(), SIGMA_STAR, m4)
+    target = random_state(2, np.random.default_rng(9))
+    for s in sets[::10]:
+        assert check_promise(s, SIGMA_STAR, m4).y == s.claimed_y
+        for gamma in (0.0, 0.25, 1.0):
+            run_hadamard_algorithm(s, SIGMA_STAR, m4, target, NoiseModel(gamma, 0.0))
+    assert census.total == 460 and calls == []
+    run_hadamard_algorithm(sets[0], SIGMA_STAR, m4, target, NoiseModel(0.25, 0.05))
+    assert calls == [(4, 2, 2)]
 
 
 def test_five_gate_instance(m4):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from switchlab import (NoiseModel, OracleSet, PermutationSet, RunResult, SIGMA_S
 from switchlab.gates import NamedGate
 from switchlab.linalg import random_unitary
 from switchlab.switch import (_distribution, _finish, _ordering_products, _overrotation,
-                              _products)
+                              _products, _readout)
 
 
 def oracle_of(*names):
@@ -193,6 +194,84 @@ def test_memoized_decodes_equal_direct_computation(m4, promise_sets):
         assert np.array_equal(got.outcome_distribution, want.outcome_distribution)
         assert (got.decoded_y, got.success_probability) == (want.decoded_y,
                                                             want.success_probability)
+
+
+# SHA-256 over the decode pin below, computed with the code before enumerated
+# sets carried their products and sign matrices their readout constants.
+DECODE_PIN = "3a3a4f1b3bc433fa02274dd8a6f87122f86213aa2bb60a4d8acfdc3012ec689d"
+DECODE_PIN_NOISE = ((0.0, 0.0), (0.25, 0.05), (1.0, -0.3), (0.5, 0.0))
+
+
+def decode_pin_digest(sets, m4):
+    """Every bit the decode path returns, hashed: check_promise verdicts,
+    outcome distributions, decoded columns and success probabilities of the
+    given sets and 20 seeded Haar oracles under sigma*, on |0> and 5 seeded
+    targets at four (gamma, epsilon) settings, plus Fourier decodes and
+    seeded shot counts of every 46th set and four Haar oracles."""
+    rng = np.random.default_rng(2020)
+    haar = [haar_oracle(4, rng) for _ in range(20)]
+    targets = [basis_state(2, 0)] + [random_state(2, rng) for _ in range(5)]
+    h = hashlib.sha256()
+    for orc in sets + haar:
+        h.update(repr(check_promise(orc, SIGMA_STAR, m4)).encode())
+        for psi in targets:
+            for gamma, epsilon in DECODE_PIN_NOISE:
+                res = run_hadamard_algorithm(orc, SIGMA_STAR, m4, psi, NoiseModel(gamma, epsilon))
+                h.update(res.outcome_distribution.tobytes())
+                h.update(repr((res.decoded_y, res.success_probability)).encode())
+    for orc in sets[::46] + haar[:4]:
+        for psi in targets[:2]:
+            res = run_fourier_algorithm(orc, SIGMA_STAR, psi)
+            h.update(res.outcome_distribution.tobytes())
+            h.update(repr((res.decoded_y, res.success_probability)).encode())
+            h.update(sample_shots(res, 6000, 7).tobytes())
+            noisy = run_hadamard_algorithm(orc, SIGMA_STAR, m4, psi, NoiseModel(0.3, 0.05))
+            h.update(sample_shots(noisy, 6000, 7).tobytes())
+    return h.hexdigest()
+
+
+def test_decode_bits_are_pinned(m4, promise_sets):
+    # To regenerate after a deliberate change of the decode arithmetic:
+    #   _, sets = enumerate_promise_sets(gate_set_G(), SIGMA_STAR, hadamard_m4())
+    #   print(decode_pin_digest(sets, hadamard_m4()))
+    # and say in CHANGES.md why the bits moved.
+    assert decode_pin_digest(promise_sets[1], m4) == DECODE_PIN
+    fresh = [OracleSet(s.gates, claimed_y=s.claimed_y) for s in promise_sets[1]]
+    assert decode_pin_digest(fresh, m4) == DECODE_PIN   # products built from the gates
+
+
+def kernel_dephasing(monkeypatch, rho, gamma):
+    """What _readout makes of the control blocks ``rho`` at dephasing gamma:
+    the blocks are fed in through the branch rows, and read back at the
+    readout matrix."""
+    class Joint(np.ndarray):
+        def __matmul__(self, other):
+            return rho.copy()
+
+    class Capture:
+        def __matmul__(self, dephased):
+            self.rho = dephased.copy()
+            return dephased
+
+    monkeypatch.setattr("switchlab.switch._branch_rows",
+                        lambda *args: np.zeros((1, 1)).view(Joint))
+    capture = Capture()
+    _readout(None, (None, capture, 1.0), None, gamma)
+    return capture.rho
+
+
+@pytest.mark.parametrize("gamma", [5e-324, 0.3, 0.5, 1 - 2 ** -53, 1.0])
+def test_dephasing_equals_the_mask_bit_for_bit(monkeypatch, gamma):
+    rng = np.random.default_rng(11)
+    for shape in ((1, 4, 4), (3, 2, 8, 8), (2, 1, 1)):
+        rho = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for part in (rho.real, rho.imag):   # exact zeros of both signs
+            part[rng.random(shape) < 0.3] = 0.0
+            part[rng.random(shape) < 0.3] = -0.0
+        assert np.signbit(rho.real[rho.real == 0]).any()
+        want = rho * ((1.0 - gamma) + gamma * np.eye(shape[-1]))
+        got = kernel_dephasing(monkeypatch, rho, gamma)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
