@@ -295,14 +295,21 @@ class CcgoReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _identity_residual(t: np.ndarray, i: int) -> float:
+def _identity_residual(t: np.ndarray, i: int, rows: np.ndarray | None = None) -> float:
     """Max-norm distance of the operator tensor ``t`` (n row qubit axes, then
-    n column qubit axes) from (Tr_i t)/2 (x) 1 on qubit i."""
+    n column qubit axes) from (Tr_i t)/2 (x) 1 on qubit i, read only on ``rows``
+    (default all; it must hold every nonzero row and column) closed under flipping i."""
     n = t.ndim // 2
+    if rows is not None:   # the kept block as (qubit i, other qubits) on each side
+        flip = 1 << (n - 1 - i)
+        zero = np.unique(rows & ~flip)
+        keep = np.concatenate([zero, zero | flip])
+        block = t.reshape(2 ** n, 2 ** n)[np.ix_(keep, keep)]
+        t, i, n = block.reshape(2, len(zero), 2, len(zero)), 0, 2
     t = np.moveaxis(t, [i, n + i], [0, 1])
     r = (t[0, 0] + t[1, 1]) / 2
-    return float(np.max([np.abs(t[0, 0] - r).max(), np.abs(t[1, 1] - r).max(),
-                         np.abs(t[0, 1]).max(), np.abs(t[1, 0]).max()]))
+    return float(np.max([np.abs(t[0, 0] - r).max(initial=0.0), np.abs(t[1, 1] - r).max(initial=0.0),
+                         np.abs(t[0, 1]).max(initial=0.0), np.abs(t[1, 0]).max(initial=0.0)]))
 
 
 def _support(mat: np.ndarray) -> np.ndarray:
@@ -335,7 +342,7 @@ def verify_ccgo_decomposition(parts) -> CcgoReport:
     checks: list[ConstraintCheck] = []
     traces: list[float] = []
 
-    def readout_traced():  # (2,)*16 tensors in sorted order, psd-checked as read
+    def readout_traced():  # (2,)*16 tensors and support rows in sorted order, psd-checked as read
         for key in orderings:
             mat = np.asarray(parts[key], dtype=complex)
             if mat.shape != (d, d):
@@ -354,7 +361,7 @@ def verify_ccgo_decomposition(parts) -> CcgoReport:
             a, b = np.nonzero(support[:, None] % 4 == support % 4)
             traced = np.zeros((PARTY_DIM, PARTY_DIM), dtype=complex)
             np.add.at(traced, (support[a] // 4, support[b] // 4), sub[a, b])
-            yield key, traced.reshape((2,) * 16)
+            yield key, traced.reshape((2,) * 16), support // 4
 
     # prefix lengths 4 -> 1: each reduced part must be identity on the output
     # of its prefix's last slot; tracing that slot out and summing over the
@@ -363,11 +370,11 @@ def verify_ccgo_decomposition(parts) -> CcgoReport:
     level = readout_traced()
     for _ in range(len(PARTY_NAMES)):
         shorter: dict[tuple, np.ndarray] = {}
-        for prefix, t in level:
+        for prefix, t, rows in level:
             last = prefix[-1]
             n = t.ndim // 2
             i = 2 * sorted(prefix).index(last)  # axis of last_I; last_O is next
-            res = _identity_residual(t, i + 1)
+            res = _identity_residual(t, i + 1, rows)
             checks.append(ConstraintCheck(f"reduced[{''.join(prefix)}] = ~W (x) 1[{last}_O]",
                                           res <= CCGO_TOL, res))
             # the slot's two qubits as one axis of dimension 4, traced at once
@@ -375,7 +382,7 @@ def verify_ccgo_decomposition(parts) -> CcgoReport:
             tr = np.trace(t.reshape(side + side), axis1=1, axis2=4).reshape((2,) * (2 * n - 4))
             head = prefix[:-1]
             shorter[head] = shorter[head] + tr if head in shorter else tr
-        level = sorted(shorter.items())
+        level = [(head, t, None) for head, t in sorted(shorter.items())]
 
     total_trace = sum(traces)
     normalized = abs(total_trace - 2 ** 4) <= CCGO_TRACE_RTOL * 2 ** 4

@@ -88,12 +88,14 @@ _CHUNK = 128   # ordering sets per census batch; bounds the per-layer temporarie
 
 def _delta_table(need, weights, n):
     """Key increments of a group of h orderings: row b*(n+1)**h + q, column s
-    holds sum_k weights[k] over the orderings k whose progress digit in q
-    waits for symbol s, for ``need[B, h, n+1]`` as in ``_shortest_paths``."""
+    holds sum_k weights[k] over the orderings k whose progress digit q_k waits
+    for symbol s, for ``need[B, h, n+1]`` as in ``_shortest_paths``: a broadcast
+    sum of one one-hot block weights[k] * [need[b, k, q_k] == s] per digit."""
     batch, h, radix = need.shape
-    digits = np.arange(radix ** h)[:, None] // radix ** np.arange(h - 1, -1, -1) % radix
-    waits = need[:, np.arange(h), digits]                  # [B, radix**h, h]
-    table = ((waits[..., None] == np.arange(n)) * weights[:, None]).sum(axis=2)
+    table = np.zeros((batch,) + (radix,) * h + (n,), dtype=np.int64)
+    for k in range(h):
+        block = weights[k] * (need[:, k, :, None] == np.arange(n))   # [B, radix, n]
+        table += block.reshape((batch,) + (1,) * k + (radix,) + (1,) * (h - 1 - k) + (n,))
     return table.reshape(-1, n)
 
 

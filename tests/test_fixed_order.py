@@ -12,9 +12,9 @@ from switchlab import (OracleSet, PermutationSet, SIGMA_STAR, all_products,
                        build_fixed_circuit, chart_fixture, embed_sequence,
                        kron_all, pauli, random_state, scs,
                        simulate_fixed_circuit, switch_equivalence_fidelity)
-from switchlab.fixed_order import FixedOrderCircuit, _check_circuit, _fidelities, _joint_states
+from switchlab.fixed_order import FixedOrderCircuit, _check_circuit, _fidelities, _wire_states
 from switchlab.gates import NamedGate
-from switchlab.linalg import InvariantViolation, random_unitary
+from switchlab.linalg import FIDELITY_FLOOR, InvariantViolation, random_unitary
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +27,26 @@ def nine_letter_circuit():
     return build_fixed_circuit(embed_sequence("ACBADACDB", SIGMA_STAR), SIGMA_STAR)
 
 
-def random_oracle(rng, n=4):
-    return OracleSet(tuple(NamedGate(f"U{i}", random_unitary(2, rng)) for i in range(n)))
+def random_oracle(rng, n=4, d=2):
+    return OracleSet(tuple(NamedGate(f"U{i}", random_unitary(d, rng)) for i in range(n)))
+
+
+def random_orderings(rng, n, p):
+    """The identity and up to p - 1 further distinct orderings of n labels."""
+    rows = [tuple(range(n))]
+    while len(rows) < min(p, math.factorial(n)):
+        row = tuple(int(j) for j in rng.permutation(n))
+        if row not in rows:
+            rows.append(row)
+    return PermutationSet(rows)
+
+
+def broken_circuit(circuit, step, branch):
+    """The circuit with one usage entry flipped, built without the plan check."""
+    usage = [list(row) for row in circuit.usage]
+    usage[step][branch] = not usage[step][branch]
+    return FixedOrderCircuit(circuit.supersequence, circuit.symbols,
+                             tuple(map(tuple, usage)), circuit.perms)
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +148,30 @@ def test_circuit_matches_switch_on_random_inputs(star_circuit, nine_letter_circu
             assert f >= 1 - 1e-10
 
 
+def per_branch_simulation(circuit, orc, control, target):
+    """Reference: each branch on its own, the joint state as a Kronecker
+    product of the target and the ancillas."""
+    mats = orc.matrices()
+    rows = []
+    for x in range(circuit.perms.P):
+        targ = target.copy()
+        ancs = [basis_state(orc.dim, 0) for _ in range(orc.N)]
+        for s, i in enumerate(circuit.symbols):
+            if circuit.usage[s][x]:
+                targ = mats[i] @ targ
+            else:
+                ancs[i] = mats[i] @ ancs[i]
+        rows.append(control[x] * kron_all([targ] + ancs))
+    return np.stack(rows)
+
+
 def dense_fidelity(circuit, orc, control, psi):
-    """<ref| Tr_ancillas |J><J| |ref> from the dense joint density matrix."""
-    joint = simulate_fixed_circuit(circuit, orc, control, psi)
-    p, d = circuit.perms.P, orc.dim
-    # (ctrl, target) rows and the N ancillas merged into one axis
-    outer = np.outer(joint, joint.conj()).reshape(p * d, d ** orc.N, p * d, d ** orc.N)
-    rho = np.einsum("iaja->ij", outer)
+    """<ref| Tr_ancillas |J><J| |ref> from the dense joint state of the
+    per-branch reference, which shares no code with the circuit kernel."""
+    joint = per_branch_simulation(circuit, orc, control, psi)
+    # (ctrl, target) rows, the N ancillas merged into the columns
+    joint = joint.reshape(circuit.perms.P * orc.dim, orc.dim ** orc.N)
+    rho = joint @ joint.conj().T
     reference = apply_n_switch(control, psi, orc, circuit.perms)
     return float(np.real(reference.conj() @ rho @ reference))
 
@@ -155,21 +190,40 @@ def test_fidelity_is_one_and_matches_dense_trace(seed, sequence):
     assert abs(f - dense_fidelity(circuit, orc, control, psi)) <= 1e-12
 
 
-def per_branch_simulation(circuit, orc, control, target):
-    """Reference: each branch on its own, the joint state as a Kronecker
-    product of the target and the ancillas."""
-    mats = orc.matrices()
-    rows = []
-    for x in range(circuit.perms.P):
-        targ = target.copy()
-        ancs = [basis_state(orc.dim, 0) for _ in range(orc.N)]
-        for s, i in enumerate(circuit.symbols):
-            if circuit.usage[s][x]:
-                targ = mats[i] @ targ
-            else:
-                ancs[i] = mats[i] @ ancs[i]
-        rows.append(control[x] * kron_all([targ] + ancs))
-    return np.stack(rows)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), p=st.integers(2, 5))
+def test_qutrit_fidelity_matches_dense_trace(seed, n, p):
+    rng = np.random.default_rng(seed)
+    perms = random_orderings(rng, n, p)
+    circuit = build_fixed_circuit(scs(perms), perms)
+    orc = random_oracle(rng, n, 3)
+    control, psi = random_state(perms.P, rng), random_state(3, rng)
+    f = switch_equivalence_fidelity(circuit, orc, control, psi)
+    assert abs(f - 1.0) <= 1e-10
+    assert abs(f - dense_fidelity(circuit, orc, control, psi)) <= 1e-12
+
+
+def test_promise_set_fidelities_match_dense_trace(star_circuit, m4, promise_sets):
+    control, psi = m4.as_gate()[:, 0], random_state(2, np.random.default_rng(31))
+    sets = promise_sets[1]
+    fids = _fidelities(star_circuit, np.stack([s.matrices() for s in sets]), control, psi)
+    assert len(fids) == 460 and fids.min() >= 1 - FIDELITY_FLOOR
+    dense = [dense_fidelity(star_circuit, s, control, psi) for s in sets]
+    assert np.max(np.abs(fids - dense)) <= 1e-12
+
+
+def test_broken_plans_read_below_one_and_match_dense_trace(star_circuit, m4):
+    # a flipped usage entry moves one gate between the target and an
+    # ancilla of one branch, so the ancillas no longer disentangle
+    rng = np.random.default_rng(21)
+    control = m4.as_gate()[:, 0]
+    for step in range(star_circuit.query_count):
+        for branch in range(star_circuit.perms.P):
+            broken = broken_circuit(star_circuit, step, branch)
+            orc, psi = random_oracle(rng), random_state(2, rng)
+            (f,) = _fidelities(broken, orc.matrices()[None], control, psi)
+            assert abs(f - dense_fidelity(broken, orc, control, psi)) <= 1e-12
+            assert f < 0.999
 
 
 @settings(max_examples=40, deadline=None)
@@ -177,20 +231,16 @@ def per_branch_simulation(circuit, orc, control, target):
        n_sets=st.integers(1, 3))
 def test_branch_batched_simulation_matches_per_branch_loop(seed, n, p, n_sets):
     rng = np.random.default_rng(seed)
-    rows = [tuple(range(n))]
-    while len(rows) < min(p, math.factorial(n)):
-        row = tuple(int(j) for j in rng.permutation(n))
-        if row not in rows:
-            rows.append(row)
-    perms = PermutationSet(rows)
+    perms = random_orderings(rng, n, p)
     circuit = build_fixed_circuit(scs(perms), perms)
     oracles = [random_oracle(rng, n) for _ in range(n_sets)]
     control, psi = random_state(perms.P, rng), random_state(2, rng)
     mats = np.stack([o.matrices() for o in oracles])
-    batch = _joint_states(circuit, mats, control, psi)
+    batch = _wire_states(circuit, mats, psi)
     fids = _fidelities(circuit, mats, control, psi)
-    for orc, joint, f in zip(oracles, batch, fids):
+    for orc, states, f in zip(oracles, batch, fids):
         expected = per_branch_simulation(circuit, orc, control, psi)
+        joint = np.stack([c * kron_all(wires) for c, wires in zip(control, states)])
         assert np.max(np.abs(joint - expected)) <= 1e-14
         scalar = simulate_fixed_circuit(circuit, orc, control, psi)
         assert np.max(np.abs(scalar - expected.reshape(-1))) <= 1e-14
@@ -214,14 +264,18 @@ def test_wire_plan(star_circuit):
     for s, i in enumerate(star_circuit.symbols):
         for x in range(4):
             assert wires[s, x] == (0 if star_circuit.usage[s][x] else 1 + i)
+    plan = star_circuit.plan
+    assert plan.shape == (4, 4, 5) and not plan.flags.writeable
+    symbols = np.array(star_circuit.symbols)
+    for x in range(4):
+        for w in range(5):
+            gates = symbols[wires[:, x] == w]   # front-padded with the identity index 4
+            assert plan[:, x, w].tolist() == [4] * (4 - len(gates)) + gates.tolist()
 
 
 @pytest.mark.parametrize("step,branch", [(0, 0), (8, 3)])
 def test_check_circuit_rejects_a_broken_plan(star_circuit, step, branch):
-    usage = [list(row) for row in star_circuit.usage]
-    usage[step][branch] = not usage[step][branch]
-    broken = FixedOrderCircuit(star_circuit.supersequence, star_circuit.symbols,
-                               tuple(map(tuple, usage)), SIGMA_STAR)
+    broken = broken_circuit(star_circuit, step, branch)
     with pytest.raises(InvariantViolation, match="do not spell"):
         _check_circuit(broken)
 
@@ -302,3 +356,13 @@ def test_attack_rejects_foreign_oracle():
     stranger = OracleSet(tuple(pauli(n) for n in ("Y", "Y", "Y", "Y")))
     with pytest.raises(ValueError, match="not column"):
         attack_table1(stranger)
+
+
+@pytest.mark.parametrize("names", ["IXI", "IXIXZ"])
+def test_attack_rejects_an_oracle_of_another_size(names):
+    # both agree with column 0 of table1 on every gate they share with it
+    oracle = OracleSet(tuple(pauli(n) for n in names))
+    attacks = [attack_table1] + ([attack_combined] if len(names) > 4 else [])
+    for attack in attacks:
+        with pytest.raises(ValueError, match="is not column"):
+            attack(oracle)

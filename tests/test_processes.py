@@ -16,7 +16,7 @@ from switchlab import (OracleSet, SIGMA_STAR, all_products, basis_state,
                        witness_operator)
 from switchlab.gates import NamedGate
 from switchlab.linalg import random_unitary
-from switchlab.processes import ProcessMatrix, WitnessOperator
+from switchlab.processes import ProcessMatrix, WitnessOperator, _identity_residual
 
 LINK = np.array([1, 0, 0, 1], dtype=complex)
 QUBITS = [f"{s}_{io}" for s in "ABCD" for io in "IO"]
@@ -544,6 +544,21 @@ def test_verifier_report_is_pinned_bit_for_bit():
         assert _report_digest(verify_ccgo_decomposition(parts)) == COMBS_DIGEST
     mixed = _mixed_parts(combs)
     assert _report_digest(verify_ccgo_decomposition(mixed)) == MIXED_DIGEST
+
+
+def test_support_row_residual_is_bit_identical_on_every_qubit():
+    # the level-4 check reads only the support rows, closed under the qubit's
+    # flips; every other row and column is zero, so the max must not move
+    nonzero = 0
+    for mat in list(_weighted_combs(15).values()) + [np.zeros((1024, 1024), dtype=complex)]:
+        rows = np.flatnonzero(np.abs(mat).sum(axis=0) + np.abs(mat).sum(axis=1)) // 4
+        t = np.trace(mat.reshape(256, 4, 256, 4), axis1=1, axis2=3).reshape((2,) * 16)
+        for qubit in range(8):
+            full = _identity_residual(t, qubit)
+            assert _identity_residual(t, qubit, rows).hex() == full.hex()
+            nonzero += full > 0
+    assert nonzero > 0
+    assert _identity_residual(np.zeros((2,) * 16), 1, np.array([], dtype=int)) == 0.0
 
 
 def test_verifier_reads_real_parts_as_complex():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from switchlab import (PermutationSet, SIGMA_STAR, embed_sequence,
                        is_supersequence, quartet_census, scs)
 from switchlab import supersequences
-from switchlab.supersequences import _shortest_paths
+from switchlab.supersequences import _delta_table, _shortest_paths
 
 
 def perms_of(*words):
@@ -206,6 +206,29 @@ def test_scs_length_is_invariant_under_the_orbit_maps(n, data):
     reversed_rows = [row[::-1] for row in rows]
     image = PermutationSet(relabeled(reversed_rows, anchor[::-1]), require_identity_reference=False)
     assert scs(image).length == length
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_delta_table_matches_a_loop_over_progress_digits(batch, h, n):
+    rng = np.random.default_rng(100 * batch + 10 * h + n)
+    radix = n + 1
+    sigmas = np.array([[rng.permutation(n) for _ in range(h)] for _ in range(batch)],
+                      dtype=np.int64).reshape(batch, h, n)
+    need = np.concatenate([sigmas, np.full((batch, h, 1), n)], axis=2)
+    weights = rng.integers(1, 10 ** 6, size=h, dtype=np.int64)
+    expected = np.zeros((batch * radix ** h, n), dtype=np.int64)
+    for b in range(batch):
+        # every progress-digit tuple, the completed digit n included
+        for q in itertools.product(range(radix), repeat=h):
+            row = b * radix ** h + sum(q_k * radix ** (h - 1 - k) for k, q_k in enumerate(q))
+            for k, q_k in enumerate(q):
+                if q_k < n:
+                    expected[row, need[b, k, q_k]] += weights[k]
+    table = _delta_table(need, weights, n)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, expected)
 
 
 def ordering_sets(n, size):
