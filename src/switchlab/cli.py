@@ -35,61 +35,45 @@ from .switch import (NoiseModel, OracleSet, PermutationSet, SIGMA_STAR,
                      run_hadamard_algorithm, sample_shots)
 
 
-class UsageError(ValueError):
-    """Bad parameters that argparse cannot catch itself."""
-
-
 # ---------------------------------------------------------------------------
 # Input resolution: presets and JSON file formats
 # ---------------------------------------------------------------------------
 
-def _load_json(path: str):
+def _read_file(path: str, what: str, parse):
+    """``parse`` applied to the JSON held in ``path``; its KeyError, TypeError
+    or ValueError becomes a ValueError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read JSON file {path!r}: {exc}") from exc
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:   # ValueError: not UTF-8, or not JSON
+        raise ValueError(f"cannot read JSON file {path!r}: {exc}") from exc
+    try:
+        return parse(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {what} {path!r}: {exc}") from exc
 
 
-def _gates_from_entries(entries) -> tuple[NamedGate, ...]:
+def _gates(entries) -> list[NamedGate]:
+    """Gate file: list of {"name": str, "matrix": [[[re,im],[re,im]], ...]}."""
     if not isinstance(entries, list):
         raise ValueError('expected a JSON list of {"name", "matrix"} entries')
-    return tuple(
-        NamedGate(str(e["name"]),
-                  np.array([[complex(re, im) for re, im in row] for row in e["matrix"]]))
-        for e in entries
-    )
+    return [NamedGate(str(e["name"]),
+                      np.array([[complex(re, im) for re, im in row] for row in e["matrix"]]))
+            for e in entries]
 
 
-def load_gates_file(path: str) -> list[NamedGate]:
-    """Gate file: list of {"name": str, "matrix": [[[re,im],[re,im]], ...]}."""
-    data = _load_json(path)
-    try:
-        return list(_gates_from_entries(data))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed gate file {path!r}: {exc}") from exc
-
-
-def load_perms_file(path: str) -> PermutationSet:
+def _perms(words) -> PermutationSet:
     """Permutation file: list of label strings, identity first."""
-    data = _load_json(path)
-    try:
-        if not isinstance(data, list) or not all(isinstance(w, str) for w in data):
-            raise ValueError("expected a JSON list of label strings such as [\"ABCD\", \"BADC\"]")
-        return PermutationSet.from_strings(data)
-    except ValueError as exc:
-        raise UsageError(f"malformed permutation file {path!r}: {exc}") from exc
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise ValueError("expected a JSON list of label strings such as [\"ABCD\", \"BADC\"]")
+    return PermutationSet.from_strings(words)
 
 
-def load_matrix_file(path: str) -> SignMatrix:
+def _matrix(rows) -> SignMatrix:
     """Sign-matrix file: list of integer rows."""
-    data = _load_json(path)
-    try:
-        if not isinstance(data, list):
-            raise ValueError("expected a JSON list of integer rows")
-        return SignMatrix(np.array(data, dtype=np.int64))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"malformed sign-matrix file {path!r}: {exc}") from exc
+    if not isinstance(rows, list):
+        raise ValueError("expected a JSON list of integer rows")
+    return SignMatrix(np.array(rows, dtype=np.int64))
 
 
 def resolve_gates(spec: str) -> list[NamedGate]:
@@ -99,26 +83,26 @@ def resolve_gates(spec: str) -> list[NamedGate]:
         return [pauli(n) for n in "IZXY"]
     if spec == "identity-only":
         return [pauli("I")]
-    return load_gates_file(spec)
+    return _read_file(spec, "gate file", _gates)
 
 
 def resolve_perms(spec: str) -> PermutationSet:
     if spec == "sigma-star":
         return SIGMA_STAR
-    return load_perms_file(spec)
+    return _read_file(spec, "permutation file", _perms)
 
 
 def resolve_matrix(spec: str, p: int) -> SignMatrix:
     if spec == "M4":
         if p != 4:
-            raise UsageError("matrix preset M4 needs P = 4 permutations")
+            raise ValueError("matrix preset M4 needs P = 4 permutations")
         return hadamard_m4()
     if spec == "sylvester":
         k = int(np.log2(p))
         if 2 ** k != p:
-            raise UsageError("sylvester preset needs P a power of two")
+            raise ValueError("sylvester preset needs P a power of two")
         return sylvester_hadamard(k)
-    return load_matrix_file(spec)
+    return _read_file(spec, "sign-matrix file", _matrix)
 
 
 def resolve_oracle(table: str, column: int, p: int) -> OracleSet:
@@ -126,21 +110,17 @@ def resolve_oracle(table: str, column: int, p: int) -> OracleSet:
     if table == "thirty":
         fixtures = chart_fixture("thirty")
         if not 0 <= column < len(fixtures):
-            raise UsageError(f"thirty-set index {column} out of range")
+            raise ValueError(f"thirty-set index {column} out of range")
         return fixtures[column]
     if table in ("1", "2"):
         fixtures = chart_fixture(f"table{table}")
         hits = [f for f in fixtures if f.claimed_y == column]
         if not hits:
-            raise UsageError(f"table {table} has no column {column}")
+            raise ValueError(f"table {table} has no column {column}")
         return hits[0]
-    data = _load_json(table)
-    try:
-        gates = _gates_from_entries(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed oracle file {table!r}: {exc}") from exc
+    gates = _read_file(table, "oracle file", _gates)
     if column >= p:
-        raise UsageError(f"claimed column {column} out of range for P = {p}")
+        raise ValueError(f"claimed column {column} out of range for P = {p}")
     return OracleSet(gates, claimed_y=column)
 
 
@@ -157,11 +137,8 @@ def cmd_scs(args) -> dict:
             "total_quartets": census.total,
         }
     if not args.permutations:
-        raise UsageError("give permutations or --census")
-    try:
-        perms = PermutationSet.from_strings(args.permutations)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError("give permutations or --census")
+    perms = PermutationSet.from_strings(args.permutations)
     result = scs(perms)
     return {
         "length": result.length,
@@ -243,21 +220,19 @@ def cmd_witness(args) -> dict:
         fixtures = chart_fixture(args.components.split("-")[0])
         witness = uniform_witness(fixtures)
     else:
-        # components file: list of {"gates": [...], "y": int, "q": float};
-        # stated columns are re-verified against the promise when it holds
-        data = _load_json(args.components)
-        try:
+        def components(entries):
+            # list of {"gates": [...], "y": int, "q": float}; stated columns
+            # are re-verified against the promise when it holds
             comps = []
-            for e in data:
-                oracle = OracleSet(_gates_from_entries(e["gates"]))
+            for e in entries:
+                oracle = OracleSet(_gates(e["gates"]))
                 verdict = check_promise(oracle, perms, matrix)
                 if verdict.satisfied and verdict.y != int(e["y"]):
-                    raise UsageError(
+                    raise ValueError(
                         f"component column {e['y']} disagrees with verified {verdict.y}")
                 comps.append((oracle, int(e["y"]), float(e["q"])))
-        except (KeyError, TypeError) as exc:
-            raise UsageError(f"malformed components file: {exc}") from exc
-        witness = witness_operator(comps)
+            return comps
+        witness = witness_operator(_read_file(args.components, "components file", components))
     process = build_effective_process(basis_state(2, 0), matrix, perms)
     p_succ = success_probability(process, witness)
     return {
@@ -269,19 +244,15 @@ def cmd_witness(args) -> dict:
 
 def cmd_attack(args) -> dict:
     from .fixed_order import attack_combined, attack_table1, attack_table2
-    from .oracles import chart_fixture
     strategies = {"1": attack_table1, "2": attack_table2, "auto": attack_combined}
     if args.table not in strategies:
-        raise UsageError("attack table must be 1, 2 or auto")
+        raise ValueError("attack table must be 1, 2 or auto")
     # the hidden oracle is drawn from --source when the strategy is auto,
     # otherwise from the table the strategy targets
     source = args.source if args.table == "auto" else args.table
     if source not in ("1", "2"):
-        raise UsageError("attack source must be 1 or 2")
-    candidates = [f for f in chart_fixture(f"table{source}") if f.claimed_y == args.column]
-    if not candidates:
-        raise UsageError(f"table {source} has no column {args.column}")
-    oracle = candidates[0]
+        raise ValueError("attack source must be 1 or 2")
+    oracle = resolve_oracle(source, args.column, 4)
     transcript = strategies[args.table](oracle)
     return {
         "guessed_y": transcript.guessed_y,
@@ -318,11 +289,9 @@ def _render_pretty(envelope: dict) -> str:
 
 
 def _render_csv(results: dict) -> str:
-    histogram = None
-    if "histogram" in results:
-        histogram = results["histogram"]
+    histogram = results.get("histogram")
     if histogram is None:
-        raise UsageError("this command produced no histogram to export as CSV")
+        raise ValueError("this command produced no histogram to export as CSV")
     lines = ["outcome,count"]
     if isinstance(histogram, dict):
         for k in sorted(histogram, key=lambda s: int(s)):
@@ -338,58 +307,51 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="quantum-controlled gate-order toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--pretty", action="store_true", help="human-readable output")
-        p.add_argument("--csv", action="store_true", help="emit histograms as CSV")
+    # option groups shared by several commands, as argparse parent parsers
+    output, perms, matrix, oracle = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    output.add_argument("--pretty", action="store_true", help="human-readable output")
+    output.add_argument("--csv", action="store_true", help="emit histograms as CSV")
+    perms.add_argument("--perms", default="sigma-star", help="sigma-star | perms-file.json")
+    matrix.add_argument("--matrix", default="M4", help="M4 | sylvester | matrix-file.json")
+    oracle.add_argument("--table", default="1", help="1 | 2 | thirty | oracle-file.json")
+    oracle.add_argument("--column", type=int, required=True, help="hidden column y")
 
-    p = sub.add_parser("scs", help="shortest common supersequence of orderings")
+    p = sub.add_parser("scs", parents=[output], help="shortest common supersequence of orderings")
     p.add_argument("permutations", nargs="*", help="orderings, identity first (e.g. ABCD BADC)")
     p.add_argument("--census", action="store_true",
                    help="histogram of minimal lengths over all identity-containing quartets")
-    common(p)
     p.set_defaults(handler=cmd_scs)
 
-    p = sub.add_parser("enumerate", help="enumerate promise-satisfying gate assignments")
+    p = sub.add_parser("enumerate", parents=[perms, matrix, output],
+                       help="enumerate promise-satisfying gate assignments")
     p.add_argument("--gates", default="G", help="G | pauli | identity-only | gate-file.json")
-    p.add_argument("--perms", default="sigma-star", help="sigma-star | perms-file.json")
-    p.add_argument("--matrix", default="M4", help="M4 | sylvester | matrix-file.json")
     p.add_argument("--classes", action="store_true", help="also count equivalence classes")
     p.add_argument("--list", action="store_true", help="include the full set listing")
-    common(p)
     p.set_defaults(handler=cmd_enumerate)
 
-    p = sub.add_parser("run", help="run the single-shot decoding algorithm")
-    p.add_argument("--table", default="1", help="1 | 2 | thirty | oracle-file.json")
-    p.add_argument("--column", type=int, required=True, help="hidden column y")
-    p.add_argument("--perms", default="sigma-star")
-    p.add_argument("--matrix", default="M4")
+    p = sub.add_parser("run", parents=[oracle, perms, matrix, output],
+                       help="run the single-shot decoding algorithm")
     p.add_argument("--gamma", type=float, default=0.0, help="control dephasing in [0,1]")
     p.add_argument("--epsilon", type=float, default=0.0, help="gate overrotation (radians)")
     p.add_argument("--shots", type=int, default=None, help="sample a finite histogram")
     p.add_argument("--seed", type=int, default=None)
-    common(p)
     p.set_defaults(handler=cmd_run)
 
-    p = sub.add_parser("circuit", help="fixed-order simulation vs the switch")
-    p.add_argument("--perms", default="sigma-star")
-    p.add_argument("--table", default="1")
-    p.add_argument("--column", type=int, required=True)
-    common(p)
+    p = sub.add_parser("circuit", parents=[perms, oracle, output],
+                       help="fixed-order simulation vs the switch")
     p.set_defaults(handler=cmd_circuit)
 
-    p = sub.add_parser("witness", help="success probability of a witness on the process")
+    p = sub.add_parser("witness", parents=[perms, matrix, output],
+                       help="success probability of a witness on the process")
     p.add_argument("--components", default="table1-uniform",
                    help="table1-uniform | table2-uniform | thirty-uniform | file.json")
-    p.add_argument("--perms", default="sigma-star")
-    p.add_argument("--matrix", default="M4")
-    common(p)
     p.set_defaults(handler=cmd_witness)
 
-    p = sub.add_parser("attack", help="side-information strategies on the fixture tables")
+    p = sub.add_parser("attack", parents=[output],
+                       help="side-information strategies on the fixture tables")
     p.add_argument("--table", default="auto", help="1 | 2 | auto")
     p.add_argument("--column", type=int, required=True)
     p.add_argument("--source", default="1", help="with --table auto: draw the oracle from table 1 or 2")
-    common(p)
     p.set_defaults(handler=cmd_attack)
     return parser
 

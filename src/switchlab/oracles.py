@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import NamedGate, SignMatrix, pauli
+from .gates import SignMatrix, gate_set_G, pauli
 from .linalg import CONJUGATOR_TOL, DEGENERATE, KEY_DECIMALS, PROMISE_TOL, InvariantViolation
 from .switch import OracleSet, PermutationSet, _products, all_products
 
 _CHUNK = 4096   # assignments per vectorized batch
+_MAX_WORDS = 2 ** 22   # gate words an enumeration may build: 256 MiB for qubit gates
 
 
 def _promise_residuals(prods: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -103,6 +104,9 @@ def enumerate_promise_sets(gates, perms: PermutationSet, m: SignMatrix):
     gates = list(gates)
     if not gates:
         raise ValueError("gate list must be nonempty")
+    if len(gates) ** perms.N > _MAX_WORDS:
+        raise ValueError(f"{len(gates)} gates in {perms.N} slots make {len(gates) ** perms.N} "
+                         f"gate words, more than the {_MAX_WORDS} an enumeration may build")
     mats = np.stack([g.matrix for g in gates])
     words = _gate_words(mats, perms.N)
     shape = (len(gates),) * perms.N
@@ -134,8 +138,8 @@ _TABLE1 = [
     ("Z", "X", "I", "X"),
 ]
 
-_TABLE2_HEAD = [
-    (None, None, "I", "I"),   # column 0 uses the bisector gate, filled below
+_TABLE2 = [
+    ("(Z+X)/sqrt2", "(Z+X)/sqrt2", "I", "I"),
     ("I", "X", "Z", "I"),
     ("Z", "X", "I", "I"),
     ("Z", "X", "I", "X"),
@@ -150,34 +154,21 @@ _THIRTY_ROWS = {
 _THIRTY_Y = [0] * 16 + [1] * 6 + [2] * 4 + [3] * 4
 
 
-def _bisector_zx() -> NamedGate:
-    z, x = pauli("Z").matrix, pauli("X").matrix
-    return NamedGate("(Z+X)/sqrt2", (z + x) / np.sqrt(2.0))
-
-
 def chart_fixture(which: str) -> list[OracleSet]:
     """Bundled demonstration oracles, one OracleSet per column with its
     verified y: 'table1' (orthogonal Pauli-type columns), 'table2' (includes
     a non-orthogonal column), 'thirty' (the 30 Pauli-only witness sets)."""
     if which == "table1":
-        return [
-            OracleSet(tuple(pauli(n) for n in names), claimed_y=y)
-            for y, names in enumerate(_TABLE1)
-        ]
-    if which == "table2":
-        out = [OracleSet((_bisector_zx(), _bisector_zx(), pauli("I"), pauli("I")),
-                         claimed_y=0)]
-        for y, names in enumerate(_TABLE2_HEAD[1:], start=1):
-            out.append(OracleSet(tuple(pauli(n) for n in names), claimed_y=y))
-        return out
-    if which == "thirty":
-        rows = {k: v.split() for k, v in _THIRTY_ROWS.items()}
-        out = []
-        for k in range(30):
-            gates = tuple(pauli(rows[lab][k]) for lab in "ABCD")
-            out.append(OracleSet(gates, claimed_y=_THIRTY_Y[k]))
-        return out
-    raise ValueError(f"unknown fixture {which!r}; use table1, table2 or thirty")
+        rows = enumerate(_TABLE1)
+    elif which == "table2":
+        rows = enumerate(_TABLE2)
+    elif which == "thirty":
+        rows = zip(_THIRTY_Y, zip(*(_THIRTY_ROWS[slot].split() for slot in "ABCD")))
+    else:
+        raise ValueError(f"unknown fixture {which!r}; use table1, table2 or thirty")
+    gates = {g.name: g for g in gate_set_G()}
+    gates["1"] = gates["I"]
+    return [OracleSet(tuple(gates[n] for n in names), claimed_y=y) for y, names in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ import numpy as np
 from .gates import SignMatrix
 from .linalg import (CCGO_TOL, CCGO_TRACE_RTOL, PROBABILITY_TOL, WITNESS_RANGE_TOL, as_state,
                      basis_state, choi_vector, kron_all)
-from .switch import OracleSet, PermutationSet, SIGMA_STAR
+from .switch import OracleSet, PermutationSet, SIGMA_STAR, _as_index
 
 PARTY_NAMES = "ABCD"
 PARTY_DIM = 2 ** (2 * len(PARTY_NAMES))  # 256: the eight party qubits
@@ -186,7 +186,8 @@ class WitnessOperator:
     components: tuple[tuple[OracleSet, int, float], ...]
 
     def __init__(self, components):
-        components = tuple((o, int(y), float(q)) for o, y, q in components)
+        components = tuple((o, _as_index(y, "component outcome"), float(q))
+                           for o, y, q in components)
         if not components:
             raise ValueError("witness needs at least one component")
         weights = np.array([q for _, _, q in components])
@@ -223,8 +224,7 @@ def witness_operator(components) -> WitnessOperator:
 def uniform_witness(oracles) -> WitnessOperator:
     """Equal weights over oracle sets that carry their verified column."""
     oracles = list(oracles)
-    q = 1.0 / len(oracles)
-    return witness_operator([(o, o.claimed_y, q) for o in oracles])
+    return witness_operator([(o, o.claimed_y, 1.0 / len(oracles)) for o in oracles])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ reproduce the ideal pure-state evolution exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,6 +25,14 @@ from .gates import NamedGate, SignMatrix, fourier_matrix
 from .linalg import PROBABILITY_TOL, as_state
 
 _LABELS = "ABCDEFGH"
+
+
+def _as_index(value, what: str) -> int:
+    """``value`` as an int; any integer type, numpy's included, is accepted."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, not {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -100,8 +109,11 @@ class OracleSet:
         dims = {g.dim for g in gates}
         if len(dims) != 1:
             raise ValueError("oracle gates must share one dimension")
-        if self.claimed_y is not None and self.claimed_y < 0:
-            raise ValueError("claimed_y must be a column index")
+        if self.claimed_y is not None:
+            y = _as_index(self.claimed_y, "claimed_y")
+            if y < 0:
+                raise ValueError("claimed_y must be a column index")
+            object.__setattr__(self, "claimed_y", y)
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "_product_memo", {})   # filled by _products
 
@@ -308,6 +320,7 @@ def run_fourier_algorithm(oracle: OracleSet, perms: PermutationSet,
 
 def sample_shots(result: RunResult, shots: int, seed: int) -> np.ndarray:
     """Multinomial counts per outcome; deterministic for a fixed seed."""
+    shots = _as_index(shots, "shots")
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if seed < 0:

@@ -372,6 +372,42 @@ def test_matrix_file_must_hold_a_list(capsys, tmp_path):
     assert f"malformed sign-matrix file {str(path)!r}: expected a JSON list of integer rows" in err
 
 
+NON_UNITARY = {"name": "Z", "matrix": [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]}
+
+
+@pytest.mark.parametrize("kind, argv, data", [
+    ("gate", ("enumerate", "--gates"), [{"name": "Z"}]),
+    ("permutation", ("enumerate", "--perms"), ["ABCA"]),
+    ("sign-matrix", ("enumerate", "--matrix"), [[1, 1], [1, 1]]),
+    ("oracle", ("run", "--column", "1", "--table"), {"a": 1}),
+    ("components", ("witness", "--components"), [{"gates": [NON_UNITARY] * 4, "y": 0, "q": 1}]),
+])
+def test_malformed_file_error_names_the_file(capsys, tmp_path, kind, argv, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and not out
+    assert err.startswith(f"error: malformed {kind} file {str(path)!r}: ")
+
+
+def test_undecodable_file_error_names_the_file(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe[]")
+    code, out, err = run_cli(capsys, "enumerate", "--gates", str(path))
+    assert code == 2 and not out
+    assert err.startswith(f"error: cannot read JSON file {str(path)!r}: 'utf-8' codec")
+
+
+def test_oversized_enumeration_exits_2(capsys, tmp_path, monkeypatch):
+    # ten gates of G in eight slots would make a table of 10**8 gate words
+    monkeypatch.setattr("switchlab.oracles._gate_words", lambda *a: pytest.fail("table built"))
+    path = tmp_path / "perms.json"
+    path.write_text(json.dumps(["ABCDEFGH", "BADCFEHG", "CDABGHEF", "DCBAHGFE"]))
+    code, out, err = run_cli(capsys, "enumerate", "--perms", str(path), "--matrix", "M4")
+    assert code == 2 and not out
+    assert "make 100000000 gate words" in err
+
+
 def test_malformed_gate_file_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps([{"name": "Z"}]))

@@ -195,6 +195,15 @@ def test_enumerate_full_library(promise_sets):
     assert len(sets) == 460
 
 
+def test_enumeration_refuses_an_oversized_word_table(m4):
+    # ten gates in eight slots make 10**8 words, about 6.4 GB: refused before
+    # the word table is built
+    perms = PermutationSet.from_strings(["ABCDEFGH", "BADCFEHG", "CDABGHEF", "DCBAHGFE"])
+    with mock.patch.object(oracles, "_gate_words", side_effect=AssertionError("table built")):
+        with pytest.raises(ValueError, match="make 100000000 gate words"):
+            enumerate_promise_sets(gate_set_G(), perms, m4)
+
+
 def test_enumerate_gate_order_invariance(m4):
     gates = [pauli(n) for n in "IZXY"]
     census_a, _ = enumerate_promise_sets(gates, SIGMA_STAR, m4)

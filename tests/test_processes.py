@@ -186,6 +186,19 @@ def test_witness_rejects_non_finite_weights():
         witness_operator([(orc, 0, 1.0), (orc, 1, np.nan)])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda orc: uniform_witness([]), "witness needs at least one component"),
+    (lambda orc: uniform_witness([orc]), "component outcome must be an integer, not None"),
+    (lambda orc: witness_operator([(orc, None, 1.0)]),
+     "component outcome must be an integer, not None"),
+], ids=["uniform-empty", "uniform-unverified", "operator-none"])
+def test_witness_inputs_raise_value_errors(build, message):
+    # these raised ZeroDivisionError and TypeError from int(None)
+    unverified = OracleSet(chart_fixture("table1")[0].gates)
+    with pytest.raises(ValueError, match=message):
+        build(unverified)
+
+
 def _kron_witness(components):
     """Reference dense witness: one kron per component, readout last."""
     out = np.zeros((1024, 1024), dtype=complex)

@@ -67,6 +67,18 @@ def test_product_all_identity():
         assert_allclose(all_products(orc, SIGMA_STAR)[x], np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1"])
+def test_claimed_y_must_be_an_integer(bad):
+    # a float column used to pass here and fail every decode at list indexing
+    with pytest.raises(ValueError, match="claimed_y must be an integer"):
+        OracleSet(oracle_of("Z", "X", "Z", "X").gates, claimed_y=bad)
+
+
+def test_claimed_y_accepts_numpy_integers():
+    orc = OracleSet(oracle_of("Z", "X", "Z", "X").gates, claimed_y=np.int64(1))
+    assert orc.claimed_y == 1 and type(orc.claimed_y) is int
+
+
 def test_product_index_out_of_range():
     with pytest.raises(IndexError):
         all_products(oracle_of("1", "1", "1", "1"), SIGMA_STAR)[4]
@@ -660,6 +672,13 @@ def test_sampling_deterministic(m4):
     b = sample_shots(res, 6000, seed=7)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, sample_shots(res, 6000, seed=8))
+
+
+def test_sampling_takes_integer_shots(m4):
+    res = run_hadamard_algorithm(chart_fixture("table1")[0], SIGMA_STAR, m4, basis_state(2, 0))
+    with pytest.raises(ValueError, match="shots must be an integer, not 2.5"):
+        sample_shots(res, 2.5, seed=0)   # used to draw 2 shots
+    assert sample_shots(res, np.int64(5), seed=0).sum() == 5
 
 
 def test_sampling_rejects_negative_seed(m4):
