@@ -37,8 +37,8 @@ for answer in range(4):
 
 print("\n-- per-outcome reduction --")
 si = superinstrument(process)
-print("block traces:", [round(float(np.trace(p).real), 3) for p in si.parts],
-      "-> sum", round(si.total_trace, 3))
+print("block traces:", [round(float(np.trace(p).real), 3) for p in si],
+      "-> sum", round(float(sum(np.trace(p).real for p in si)), 3))
 
 print("\n-- checking the decomposition constraints of classical order control --")
 zero = np.zeros((1024, 1024), dtype=complex)

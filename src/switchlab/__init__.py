@@ -21,21 +21,20 @@ _EXPORTS = {
     "linalg": ("ATOL", "InvariantViolation", "basis_state", "choi_vector", "kron_all",
                "random_state", "random_unitary"),
     "oracles": ("EnumerationCensus", "EquivalenceClassification", "PromiseVerdict",
-                "bloch_rotation", "chart_fixture", "check_promise", "enumerate_promise_sets",
-                "equivalence_classes", "find_conjugator", "find_rotation_conjugator",
-                "verify_classification"),
+                "bloch_rotation", "check_promise", "enumerate_promise_sets",
+                "equivalence_classes", "verify_classification"),
     "fixed_order": ("AttackTranscript", "FixedOrderCircuit", "QueryRecord", "ancilla_factor",
                     "attack_combined", "attack_table1", "attack_table2", "build_fixed_circuit",
                     "simulate_fixed_circuit", "switch_equivalence_fidelity"),
-    "processes": ("CcgoReport", "ConstraintCheck", "ProcessMatrix", "Superinstrument",
-                  "WitnessOperator", "build_effective_ket", "build_effective_process",
-                  "build_switch_process_ket", "definite_order_process", "oracle_choi_ket",
-                  "success_probability", "superinstrument", "uniform_witness",
-                  "verify_ccgo_decomposition", "witness_operator"),
+    "processes": ("CcgoReport", "ConstraintCheck", "ProcessMatrix", "WitnessOperator",
+                  "build_effective_ket", "build_effective_process", "build_switch_process_ket",
+                  "definite_order_process", "oracle_choi_ket", "success_probability",
+                  "superinstrument", "uniform_witness", "verify_ccgo_decomposition",
+                  "witness_operator"),
     "supersequences": ("QuartetCensus", "SupersequenceResult", "embed_sequence",
                        "is_supersequence", "quartet_census", "scs"),
     "switch": ("NoiseModel", "OracleSet", "PermutationSet", "RunResult", "SIGMA_STAR",
-               "all_products", "apply_n_switch", "run_fourier_algorithm",
+               "all_products", "apply_n_switch", "chart_fixture", "run_fourier_algorithm",
                "run_hadamard_algorithm", "sample_shots"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -31,8 +31,8 @@ if _ONE_BLAS_THREAD:
 
 from .gates import NamedGate, SignMatrix, gate_set_G, hadamard_m4, pauli, sylvester_hadamard
 from .linalg import FIDELITY_FLOOR, InvariantViolation, basis_state
-from .switch import (NoiseModel, OracleSet, PermutationSet, SIGMA_STAR,
-                     run_hadamard_algorithm, sample_shots)
+from .switch import (NoiseModel, OracleSet, PermutationSet, SIGMA_STAR, _as_index,
+                     chart_fixture, run_hadamard_algorithm, sample_shots)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,6 @@ def resolve_matrix(spec: str, p: int) -> SignMatrix:
 
 
 def resolve_oracle(table: str, column: int, p: int) -> OracleSet:
-    from .oracles import chart_fixture
     if table == "thirty":
         fixtures = chart_fixture("thirty")
         if not 0 <= column < len(fixtures):
@@ -211,7 +210,6 @@ def cmd_circuit(args) -> dict:
 
 
 def cmd_witness(args) -> dict:
-    from .oracles import chart_fixture, check_promise
     from .processes import (build_effective_process, success_probability,
                             uniform_witness, witness_operator)
     perms = resolve_perms(args.perms)
@@ -220,17 +218,19 @@ def cmd_witness(args) -> dict:
         fixtures = chart_fixture(args.components.split("-")[0])
         witness = uniform_witness(fixtures)
     else:
+        from .oracles import check_promise
+
         def components(entries):
             # list of {"gates": [...], "y": int, "q": float}; stated columns
             # are re-verified against the promise when it holds
             comps = []
             for e in entries:
                 oracle = OracleSet(_gates(e["gates"]))
+                y = _as_index(e["y"], "component column")
                 verdict = check_promise(oracle, perms, matrix)
-                if verdict.satisfied and verdict.y != int(e["y"]):
-                    raise ValueError(
-                        f"component column {e['y']} disagrees with verified {verdict.y}")
-                comps.append((oracle, int(e["y"]), float(e["q"])))
+                if verdict.satisfied and verdict.y != y:
+                    raise ValueError(f"component column {y} disagrees with verified {verdict.y}")
+                comps.append((oracle, y, float(e["q"])))
             return comps
         witness = witness_operator(_read_file(args.components, "components file", components))
     process = build_effective_process(basis_state(2, 0), matrix, perms)

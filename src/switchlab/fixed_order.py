@@ -12,19 +12,23 @@ wires are simulated one by one from a per-wire gate plan, and fidelities come
 from target overlaps and an ancilla Gram matrix, with no d ** (N + 1) state.
 
 The attack strategies assume the oracle is drawn from a known fixture table
-and identify the hidden column with a handful of exact projective tests.
+(``switch.chart_fixture``) and identify the hidden column with a handful of
+exact projective tests.  This module loads neither ``oracles`` nor
+``supersequences``: a circuit takes its supersequence from the caller.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import EXACT_TEST_TOL, InvariantViolation, as_state, basis_state, kron_all
-from .oracles import chart_fixture
-from .supersequences import SupersequenceResult
-from .switch import _LABELS, OracleSet, PermutationSet, _ordering_products, _products
+from .switch import _LABELS, OracleSet, PermutationSet, _ordering_products, _products, chart_fixture
+
+if TYPE_CHECKING:
+    from .supersequences import SupersequenceResult
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Promise verification, exhaustive gate-set enumeration, bundled fixture
-tables, and conjugation-equivalence classification.
+"""Promise verification, exhaustive gate-set enumeration and
+conjugation-equivalence classification (the fixture tables are in ``switch``).
 
 The promise is exact operator equality including global phase: every
 ordering product must equal a +-1 multiple of the reference product, with
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import SignMatrix, gate_set_G, pauli
+from .gates import SignMatrix, pauli
 from .linalg import CONJUGATOR_TOL, DEGENERATE, KEY_DECIMALS, PROMISE_TOL, InvariantViolation
 from .switch import OracleSet, PermutationSet, _products, all_products
 
@@ -64,12 +64,11 @@ def check_promise(oracle: OracleSet, perms: PermutationSet, m: SignMatrix) -> Pr
 
 @dataclass(frozen=True)
 class EnumerationCensus:
-    total: int
     per_column: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.total != sum(self.per_column):
-            raise ValueError("total disagrees with per-column counts")
+    @property
+    def total(self) -> int:
+        return sum(self.per_column)
 
 
 def _gate_words(mats: np.ndarray, n: int) -> np.ndarray:
@@ -123,52 +122,7 @@ def enumerate_promise_sets(gates, perms: PermutationSet, m: SignMatrix):
             counts[y] += 1
             sets.append(OracleSet(tuple(gates[i] for i in q[c]), claimed_y=y))
             _products(sets[-1], perms, known=pis)
-    census = EnumerationCensus(int(counts.sum()), tuple(int(c) for c in counts))
-    return census, sets
-
-
-# ---------------------------------------------------------------------------
-# Fixture tables
-# ---------------------------------------------------------------------------
-
-_TABLE1 = [
-    ("I", "X", "I", "X"),
-    ("Z", "X", "Z", "X"),
-    ("I", "X", "Z", "X"),
-    ("Z", "X", "I", "X"),
-]
-
-_TABLE2 = [
-    ("(Z+X)/sqrt2", "(Z+X)/sqrt2", "I", "I"),
-    ("I", "X", "Z", "I"),
-    ("Z", "X", "I", "I"),
-    ("Z", "X", "I", "X"),
-]
-
-_THIRTY_ROWS = {
-    "A": "1 1 1 Z 1 1 Z 1 Z Z 1 Z Z Z Z Z 1 Z Z Z Z Z 1 Z Z Z 1 Z Z Z",
-    "B": "1 1 Z 1 1 Z 1 Z 1 Z Z 1 Z Z Z X Z 1 Z X X X Z 1 X Z 1 X X X",
-    "C": "1 Z 1 1 Z 1 1 Z Z 1 Z Z 1 Z Z X X 1 X Z X Y X Z 1 X Z 1 Z Y",
-    "D": "Z 1 1 1 Z Z Z 1 1 1 Z Z Z 1 Z Z 1 X X X Y Z Z X 1 Y X X 1 Y",
-}
-_THIRTY_Y = [0] * 16 + [1] * 6 + [2] * 4 + [3] * 4
-
-
-def chart_fixture(which: str) -> list[OracleSet]:
-    """Bundled demonstration oracles, one OracleSet per column with its
-    verified y: 'table1' (orthogonal Pauli-type columns), 'table2' (includes
-    a non-orthogonal column), 'thirty' (the 30 Pauli-only witness sets)."""
-    if which == "table1":
-        rows = enumerate(_TABLE1)
-    elif which == "table2":
-        rows = enumerate(_TABLE2)
-    elif which == "thirty":
-        rows = zip(_THIRTY_Y, zip(*(_THIRTY_ROWS[slot].split() for slot in "ABCD")))
-    else:
-        raise ValueError(f"unknown fixture {which!r}; use table1, table2 or thirty")
-    gates = {g.name: g for g in gate_set_G()}
-    gates["1"] = gates["I"]
-    return [OracleSet(tuple(gates[n] for n in names), claimed_y=y) for y, names in rows]
+    return EnumerationCensus(tuple(int(c) for c in counts)), sets
 
 
 # ---------------------------------------------------------------------------
@@ -279,26 +233,6 @@ def _certificates(rep_frames: np.ndarray, member_frames: np.ndarray, reps: np.nd
     if phase_sensitive:
         c = _su2_lift(c)
     return c, _conjugation_errors(c, reps, members)
-
-
-def _pair_certificate(a: OracleSet, b: OracleSet, phase_sensitive: bool) -> np.ndarray | None:
-    if a.N != b.N or a.dim != b.dim:
-        raise ValueError("oracle sets must have matching shape")
-    _, frames, mapped = _canonical_forms(np.stack([a.matrices(), b.matrices()]), phase_sensitive)
-    (c,), (err,) = _certificates(frames[:1], frames[1:], mapped[:1], mapped[1:], phase_sensitive)
-    return c if err <= CONJUGATOR_TOL else None
-
-
-def find_conjugator(a: OracleSet, b: OracleSet) -> np.ndarray | None:
-    """Unitary V with V U_i V^dag = U'_i exactly (phases included), or None."""
-    return _pair_certificate(a, b, True)
-
-
-def find_rotation_conjugator(a: OracleSet, b: OracleSet) -> np.ndarray | None:
-    """Rotation R with R R(U_i) R^T = R(U'_i) for all i: conjugation
-    equivalence up to arbitrary per-gate phases.  Returns a proper rotation
-    (real orthogonal 3x3 with determinant +1) or None."""
-    return _pair_certificate(a, b, False)
 
 
 @dataclass(frozen=True)

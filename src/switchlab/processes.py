@@ -231,24 +231,17 @@ def uniform_witness(oracles) -> WitnessOperator:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Superinstrument:
-    """Per-outcome blocks W[y] = Tr_c[(1 (x) |y><y|) W] over the party spaces."""
-
-    parts: tuple[np.ndarray, ...]
-
-    @property
-    def total_trace(self) -> float:
-        return float(sum(np.trace(w).real for w in self.parts))
-
-
 def _readout_blocks(w: ProcessMatrix) -> np.ndarray:
     """Rows of the factor grouped by readout outcome, shape (P, 256, r)."""
     return w.factor.reshape(PARTY_DIM, w.P, -1).swapaxes(0, 1)
 
 
-def superinstrument(w: ProcessMatrix) -> Superinstrument:
-    return Superinstrument(tuple(b @ b.conj().T for b in _readout_blocks(w)))
+def superinstrument(w: ProcessMatrix) -> np.ndarray:
+    """Per-outcome blocks W[y] = Tr_c[(1 (x) |y><y|) W] over the party spaces,
+    as one read-only stack of shape (P, 256, 256)."""
+    parts = np.stack([b @ b.conj().T for b in _readout_blocks(w)])
+    parts.flags.writeable = False
+    return parts
 
 
 def success_probability(w: ProcessMatrix, g: WitnessOperator) -> float:

@@ -54,13 +54,14 @@ class SupersequenceResult:
     permutation; ``length`` is certified minimal when produced by ``scs``."""
 
     sequence: str
-    length: int
     embeddings: tuple[tuple[int, ...], ...]
     perms: PermutationSet = field(repr=False)
 
+    @property
+    def length(self) -> int:
+        return len(self.sequence)
+
     def __post_init__(self):
-        if self.length != len(self.sequence):
-            raise ValueError("length field disagrees with the sequence")
         words = self.perms.to_strings()
         if len(self.embeddings) != len(words):
             raise ValueError("one embedding per permutation required")
@@ -80,7 +81,7 @@ def embed_sequence(sequence: str, perms: PermutationSet) -> SupersequenceResult:
         if not ok:
             raise ValueError(f"{sequence!r} is not a supersequence of {word!r}")
         embs.append(emb)
-    return SupersequenceResult(sequence, len(sequence), tuple(embs), perms)
+    return SupersequenceResult(sequence, tuple(embs), perms)
 
 
 _CHUNK = 128   # ordering sets per census batch; bounds the per-layer temporaries
@@ -186,12 +187,11 @@ class QuartetCensus:
     """Histogram of minimal supersequence lengths over permutation quartets."""
 
     histogram: dict[int, int]
-    total: int
     collected: tuple[tuple[str, ...], ...] = ()
 
-    def __post_init__(self):
-        if self.total != sum(self.histogram.values()):
-            raise ValueError("total disagrees with the histogram")
+    @property
+    def total(self) -> int:
+        return sum(self.histogram.values())
 
 
 def _orbit_keys(quartets, perms):
@@ -242,4 +242,4 @@ def quartet_census(n_labels: int = 4, collect: int | None = None) -> QuartetCens
     if collect is not None:
         words = ["".join(_LABELS[j] for j in p) for p in perms]
         collected = tuple(tuple(words[i] for i in row) for row in quartets[lengths == collect])
-    return QuartetCensus(dict(zip(values.tolist(), counts.tolist())), len(quartets), collected)
+    return QuartetCensus(dict(zip(values.tolist(), counts.tolist())), collected)

@@ -4,7 +4,9 @@ The switch applies the x-th ordering of N oracle gates to a target system,
 conditioned on control basis state |x>.  Two single-shot decoding algorithms
 are provided: the sign-matrix variant (conjugating the switch by H_P built
 from a +-1 sign matrix, works for any even target dimension) and the Fourier
-variant (conjugating by F_P, which needs target dimension >= P).
+variant (conjugating by F_P, which needs target dimension >= P).  The
+paper's demonstration tables ship as ``chart_fixture`` oracle sets, kept here
+so that commands which only decode or attack them need not load ``oracles``.
 
 A two-knob noise model is included for qualitative studies: control
 dephasing scales the off-diagonal control blocks of the post-switch density
@@ -21,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gates import NamedGate, SignMatrix, fourier_matrix
+from .gates import NamedGate, SignMatrix, fourier_matrix, gate_set_G
 from .linalg import PROBABILITY_TOL, as_state
 
 _LABELS = "ABCDEFGH"
@@ -145,6 +147,46 @@ class OracleSet:
             tuple(NamedGate(f"{g.name}^V", v @ g.matrix @ vd) for g in self.gates),
             claimed_y=self.claimed_y,
         )
+
+
+_TABLE1 = [
+    ("I", "X", "I", "X"),
+    ("Z", "X", "Z", "X"),
+    ("I", "X", "Z", "X"),
+    ("Z", "X", "I", "X"),
+]
+
+_TABLE2 = [
+    ("(Z+X)/sqrt2", "(Z+X)/sqrt2", "I", "I"),
+    ("I", "X", "Z", "I"),
+    ("Z", "X", "I", "I"),
+    ("Z", "X", "I", "X"),
+]
+
+_THIRTY_ROWS = {
+    "A": "1 1 1 Z 1 1 Z 1 Z Z 1 Z Z Z Z Z 1 Z Z Z Z Z 1 Z Z Z 1 Z Z Z",
+    "B": "1 1 Z 1 1 Z 1 Z 1 Z Z 1 Z Z Z X Z 1 Z X X X Z 1 X Z 1 X X X",
+    "C": "1 Z 1 1 Z 1 1 Z Z 1 Z Z 1 Z Z X X 1 X Z X Y X Z 1 X Z 1 Z Y",
+    "D": "Z 1 1 1 Z Z Z 1 1 1 Z Z Z 1 Z Z 1 X X X Y Z Z X 1 Y X X 1 Y",
+}
+_THIRTY_Y = [0] * 16 + [1] * 6 + [2] * 4 + [3] * 4
+
+
+def chart_fixture(which: str) -> list[OracleSet]:
+    """Bundled demonstration oracles, one OracleSet per column with its
+    verified y: 'table1' (orthogonal Pauli-type columns), 'table2' (includes
+    a non-orthogonal column), 'thirty' (the 30 Pauli-only witness sets)."""
+    if which == "table1":
+        rows = enumerate(_TABLE1)
+    elif which == "table2":
+        rows = enumerate(_TABLE2)
+    elif which == "thirty":
+        rows = zip(_THIRTY_Y, zip(*(_THIRTY_ROWS[slot].split() for slot in "ABCD")))
+    else:
+        raise ValueError(f"unknown fixture {which!r}; use table1, table2 or thirty")
+    gates = {g.name: g for g in gate_set_G()}
+    gates["1"] = gates["I"]
+    return [OracleSet(tuple(gates[n] for n in names), claimed_y=y) for y, names in rows]
 
 
 @dataclass(frozen=True)
@@ -321,6 +363,7 @@ def run_fourier_algorithm(oracle: OracleSet, perms: PermutationSet,
 def sample_shots(result: RunResult, shots: int, seed: int) -> np.ndarray:
     """Multinomial counts per outcome; deterministic for a fixed seed."""
     shots = _as_index(shots, "shots")
+    seed = _as_index(seed, "seed")
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if seed < 0:

@@ -268,46 +268,37 @@ def test_circuit_rejects_out_of_range_column(capsys, tmp_path):
     assert run_json(capsys, "circuit", "--table", path, "--column", "3")["results"]["fidelity"] == 1.0
 
 
-def test_witness_components_file(capsys, tmp_path):
+def zxzx_components(tmp_path, y, q):
+    """Path of a components file holding one Z X Z X component (column 1)."""
     z = np.array([[1, 0], [0, -1]], dtype=complex)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    comp = [{"gates": [{"name": "Z", "matrix": as_pairs(z)},
-                       {"name": "X", "matrix": as_pairs(x)},
-                       {"name": "Z", "matrix": as_pairs(z)},
-                       {"name": "X", "matrix": as_pairs(x)}],
-             "y": 1, "q": 1.0}]
+    gates = [{"name": n, "matrix": as_pairs(m)} for n, m in zip("ZXZX", (z, x, z, x))]
     path = tmp_path / "components.json"
-    path.write_text(json.dumps(comp))
-    env = run_json(capsys, "witness", "--components", str(path))
+    path.write_text(json.dumps([{"gates": gates, "y": y, "q": q}]))
+    return str(path)
+
+
+def test_witness_components_file(capsys, tmp_path):
+    env = run_json(capsys, "witness", "--components", zxzx_components(tmp_path, 1, 1.0))
     assert env["results"]["p_succ"] == 1.0
 
 
 def test_witness_components_file_rejects_wrong_column(capsys, tmp_path):
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    comp = [{"gates": [{"name": "Z", "matrix": as_pairs(z)},
-                       {"name": "X", "matrix": as_pairs(x)},
-                       {"name": "Z", "matrix": as_pairs(z)},
-                       {"name": "X", "matrix": as_pairs(x)}],
-             "y": 2, "q": 1.0}]
-    path = tmp_path / "components.json"
-    path.write_text(json.dumps(comp))
-    code, _, err = run_cli(capsys, "witness", "--components", str(path))
+    code, _, err = run_cli(capsys, "witness", "--components", zxzx_components(tmp_path, 2, 1.0))
     assert code == 2
     assert "disagrees" in err
 
 
+def test_witness_components_file_rejects_fractional_column(capsys, tmp_path):
+    # int() used to truncate 1.5 to the verified column 1 and score p_succ = 1
+    code, out, err = run_cli(capsys, "witness", "--components", zxzx_components(tmp_path, 1.5, 1.0))
+    assert code == 2 and not out
+    assert "component column must be an integer, not 1.5" in err
+
+
 def test_witness_components_file_rejects_non_finite_weight(capsys, tmp_path):
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    comp = [{"gates": [{"name": "Z", "matrix": as_pairs(z)},
-                       {"name": "X", "matrix": as_pairs(x)},
-                       {"name": "Z", "matrix": as_pairs(z)},
-                       {"name": "X", "matrix": as_pairs(x)}],
-             "y": 1, "q": float("nan")}]
-    path = tmp_path / "components.json"
-    path.write_text(json.dumps(comp))
-    code, _, err = run_cli(capsys, "witness", "--components", str(path))
+    code, _, err = run_cli(capsys, "witness", "--components",
+                           zxzx_components(tmp_path, 1, float("nan")))
     assert code == 2
     assert "weights must be finite" in err
 

@@ -59,9 +59,15 @@ def test_import_package_loads_no_submodule():
      {"switchlab.oracles", "switchlab.processes", "switchlab.fixed_order", "numpy.ma"}),
     (["enumerate"], {"switchlab.processes", "switchlab.fixed_order"}),
     (["run", "--table", "1", "--column", "2"],
-     {"switchlab.processes", "switchlab.fixed_order", "switchlab.supersequences"}),
+     {"switchlab.oracles", "switchlab.processes", "switchlab.fixed_order",
+      "switchlab.supersequences"}),
     (["witness"], {"switchlab.fixed_order"}),
-], ids=["scs", "enumerate", "run", "witness"])
+    (["circuit", "--table", "2", "--column", "1"], {"switchlab.oracles", "switchlab.processes"}),
+    (["attack", "--table", "auto", "--column", "3"],
+     {"switchlab.oracles", "switchlab.supersequences", "switchlab.processes"}),
+    (["witness", "--components", "thirty-uniform"],
+     {"switchlab.oracles", "switchlab.fixed_order"}),
+], ids=["scs", "enumerate", "run", "witness", "circuit", "attack", "witness-thirty"])
 def test_command_loads_only_its_modules(argv, unused):
     loaded = loaded_after(
         "import contextlib, io\nfrom switchlab import cli\n"

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from switchlab import (NoiseModel, OracleSet, PermutationSet, SIGMA_STAR, chart_fixture,
                        check_promise, enumerate_promise_sets,
-                       equivalence_classes, find_conjugator,
-                       find_rotation_conjugator, gate_set_G, pauli, random_state,
+                       equivalence_classes, gate_set_G, pauli, random_state,
                        run_hadamard_algorithm, sylvester_hadamard, verify_classification)
 from switchlab import oracles
 from switchlab.linalg import (CONJUGATOR_TOL, DEGENERATE, KEY_DECIMALS, PROMISE_TOL,
@@ -22,6 +21,11 @@ from switchlab.switch import NamedGate, _ordering_products, all_products
 
 def oracle_of(*names):
     return OracleSet(tuple(pauli(n) for n in names))
+
+
+def conjugator(a, b, phase_sensitive=True):
+    """The verified certificate that merges b into a's class, or None."""
+    return equivalence_classes([a, b], phase_sensitive).conjugators.get(1)
 
 
 # independent oracle: plain-loop product and sign comparison
@@ -375,29 +379,14 @@ def test_find_conjugator_explicit():
     rng = np.random.default_rng(1)
     orc = oracle_of("Z", "X", "Y", "1")
     v = random_unitary(2, rng)
-    w = find_conjugator(orc, orc.conjugated(v))
+    w = conjugator(orc, orc.conjugated(v))
     assert w is not None
     for a, b in zip(orc.matrices(), orc.conjugated(v).matrices()):
         assert np.max(np.abs(w @ a @ w.conj().T - b)) < 1e-8
 
 
 def test_find_conjugator_rejects_inequivalent():
-    assert find_conjugator(oracle_of("1", "1", "1", "1"),
-                           oracle_of("Z", "Z", "Z", "Z")) is None
-
-
-def test_pairwise_search_rejects_mismatched_sets():
-    # zip would silently compare only the first three gates
-    for find in (find_conjugator, find_rotation_conjugator):
-        with pytest.raises(ValueError, match="matching shape"):
-            find(oracle_of("Z", "X", "Z", "X"), oracle_of("Z", "X", "Z"))
-
-
-def test_pairwise_search_expects_qubits():
-    qutrit = OracleSet((NamedGate("C", np.roll(np.eye(3), 1, axis=0)),))
-    for find in (find_conjugator, find_rotation_conjugator):
-        with pytest.raises(ValueError, match="qubit"):
-            find(qutrit, qutrit)
+    assert conjugator(oracle_of("1", "1", "1", "1"), oracle_of("Z", "Z", "Z", "Z")) is None
 
 
 def test_rotation_conjugator_ignores_phases():
@@ -405,8 +394,8 @@ def test_rotation_conjugator_ignores_phases():
     # per-gate phases, so only the phase-insensitive method merges them
     a = oracle_of("Z", "Z", "X", "Y")
     b = oracle_of("Z", "Z", "Y", "X")
-    assert find_conjugator(a, b) is None
-    r = find_rotation_conjugator(a, b)
+    assert conjugator(a, b) is None
+    r = conjugator(a, b, phase_sensitive=False)
     assert r is not None
     for u, w in zip(a.matrices(), b.matrices()):
         assert np.max(np.abs(r @ bloch_rotation(u) @ r.T - bloch_rotation(w))) < 1e-8
@@ -507,7 +496,7 @@ def test_mirror_images_differ_only_strictly():
     pair = [oracle_of("X", "Y", "Z", "1"),
             OracleSet((negated["X"], negated["Y"], negated["Z"], pauli("1")))]
     assert equivalence_classes(pair).n_classes == 2
-    assert find_conjugator(*pair) is None
+    assert conjugator(*pair) is None
     loose = equivalence_classes(pair, phase_sensitive=False)
     verify_classification(loose, pair)
     assert loose.n_classes == 1

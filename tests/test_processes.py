@@ -309,7 +309,7 @@ def test_factored_evaluation_matches_dense(rank, n, seed):
     si = superinstrument(w)
     m = w.matrix.reshape(256, 4, 256, 4)
     for y in range(4):
-        assert_allclose(si.parts[y], m[:, y, :, y], atol=1e-14)
+        assert_allclose(si[y], m[:, y, :, y], atol=1e-14)
 
 
 def test_structured_evaluation_matches_dense_trace(w_eff):
@@ -326,9 +326,8 @@ def test_structured_evaluation_matches_dense_trace(w_eff):
 
 def test_superinstrument_parts_sum_to_total_trace(w_eff):
     si = superinstrument(w_eff)
-    assert len(si.parts) == 4
-    assert all(p.shape == (256, 256) for p in si.parts)
-    assert abs(si.total_trace - w_eff.trace) < 1e-9
+    assert si.shape == (4, 256, 256) and not si.flags.writeable
+    assert abs(sum(np.trace(p).real for p in si) - w_eff.trace) < 1e-9
 
 
 def test_superinstrument_extracts_diagonal_blocks():
@@ -338,7 +337,7 @@ def test_superinstrument_extracts_diagonal_blocks():
     si = superinstrument(ProcessMatrix(a))
     arr = rho.reshape(256, 4, 256, 4)
     for y in range(4):
-        assert_allclose(si.parts[y], arr[:, y, :, y], atol=1e-12)
+        assert_allclose(si[y], arr[:, y, :, y], atol=1e-12)
 
 
 def test_superinstrument_consistency_on_random_process():
@@ -352,7 +351,7 @@ def test_superinstrument_consistency_on_random_process():
     dense = float(np.real(np.einsum("ab,ba->", g.matrix(), w.matrix)))
     blockwise = sum(
         float(np.real(np.einsum("ab,ba->", gy, wy)))
-        for gy, wy in zip(_witness_blocks(g), superinstrument(w).parts)
+        for gy, wy in zip(_witness_blocks(g), superinstrument(w))
     )
     assert abs(dense - blockwise) < 1e-9
     assert abs(success_probability(w, g) - dense) < 1e-9
@@ -369,7 +368,7 @@ def test_process_rows_must_be_whole_readout_blocks():
         with pytest.raises(ValueError, match="256"):
             ProcessMatrix(np.ones((rows, 2)))
     w8 = ProcessMatrix(np.eye(256 * 8, 3))
-    assert w8.P == 8 and len(superinstrument(w8).parts) == 8
+    assert w8.P == 8 and len(superinstrument(w8)) == 8
 
 
 # ---------------------------------------------------------------------------

@@ -685,3 +685,10 @@ def test_sampling_rejects_negative_seed(m4):
     res = run_hadamard_algorithm(chart_fixture("table1")[0], SIGMA_STAR, m4, basis_state(2, 0))
     with pytest.raises(ValueError, match="seed must be non-negative"):
         sample_shots(res, 5, seed=-1)
+
+
+def test_sampling_takes_integer_seeds(m4):
+    res = run_hadamard_algorithm(chart_fixture("table1")[0], SIGMA_STAR, m4, basis_state(2, 0))
+    with pytest.raises(ValueError, match="seed must be an integer, not 2.5"):
+        sample_shots(res, 5, 2.5)   # used to raise numpy's TypeError
+    assert np.array_equal(sample_shots(res, 5, np.int64(3)), sample_shots(res, 5, 3))
