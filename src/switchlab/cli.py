@@ -30,9 +30,9 @@ if _ONE_BLAS_THREAD:
     del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .gates import NamedGate, SignMatrix, gate_set_G, hadamard_m4, pauli, sylvester_hadamard
-from .linalg import FIDELITY_FLOOR, InvariantViolation, basis_state
-from .switch import (NoiseModel, OracleSet, PermutationSet, SIGMA_STAR, _as_index,
-                     chart_fixture, run_hadamard_algorithm, sample_shots)
+from .linalg import FIDELITY_FLOOR, InvariantViolation, _as_index, basis_state
+from .switch import (NoiseModel, OracleSet, PermutationSet, SIGMA_STAR, chart_fixture,
+                     run_hadamard_algorithm, sample_shots)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ All functions are pure and never mutate their inputs.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -81,7 +82,16 @@ def as_state(amplitudes) -> np.ndarray:
     return v
 
 
+def _as_index(value, what: str) -> int:
+    """``value`` as an int; any integer type, numpy's included, is accepted."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, not {value!r}") from None
+
+
 def basis_state(dim: int, index: int) -> np.ndarray:
+    index = _as_index(index, "basis index")
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} outside [0, {dim})")
     v = np.zeros(dim, dtype=complex)

@@ -12,7 +12,9 @@ Every process built here is a pure wiring ket with the final target ``t_f``
 traced out, so it has rank <= 2.  :class:`ProcessMatrix` therefore stores a
 factor A with W = A A^dagger: positivity holds by construction, and witness
 values and superinstrument blocks are computed from the rows of A.  The
-dense W is built only on request.  The decomposition verifier takes dense
+dense W is built only on request, on the rows where A holds a nonzero and
+without BLAS: a rank <= 2 product gains nothing from BLAS threads, which
+would then spin idle.  The decomposition verifier takes dense
 parts (they may come from anywhere), reads each once for its support, checks
 positivity and takes the readout trace on the support block, and rejects a
 part with a non-finite entry.
@@ -38,14 +40,25 @@ from functools import cached_property
 import numpy as np
 
 from .gates import SignMatrix
-from .linalg import (CCGO_TOL, CCGO_TRACE_RTOL, PROBABILITY_TOL, WITNESS_RANGE_TOL, as_state,
-                     basis_state, choi_vector, kron_all)
-from .switch import OracleSet, PermutationSet, SIGMA_STAR, _as_index
+from .linalg import (CCGO_TOL, CCGO_TRACE_RTOL, PROBABILITY_TOL, WITNESS_RANGE_TOL, _as_index,
+                     as_state, basis_state, choi_vector, kron_all)
+from .switch import OracleSet, PermutationSet, SIGMA_STAR
 
 PARTY_NAMES = "ABCD"
 PARTY_DIM = 2 ** (2 * len(PARTY_NAMES))  # 256: the eight party qubits
 
 _EYE = np.eye(2, dtype=complex)
+
+
+def _gram(f: np.ndarray) -> np.ndarray:
+    """Read-only f f^dagger, formed by einsum (no BLAS call) on the rows of f
+    that hold a nonzero and scattered into a zero matrix."""
+    rows = np.flatnonzero(f.any(axis=1))
+    sub = f[rows]
+    out = np.zeros((len(f), len(f)), dtype=complex)
+    out[np.ix_(rows, rows)] = np.einsum("ik,jk->ij", sub, sub.conj())
+    out.flags.writeable = False
+    return out
 
 
 def _psd_violation(mat: np.ndarray) -> float:
@@ -85,9 +98,7 @@ class ProcessMatrix:
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense W, built on first use; read-only."""
-        mat = self.factor @ self.factor.conj().T
-        mat.flags.writeable = False
-        return mat
+        return _gram(self.factor)
 
     @property
     def trace(self) -> float:
@@ -209,10 +220,11 @@ class WitnessOperator:
         for y in range(p):
             comps = [(o, q) for o, yk, q in self.components if yk == y]
             if comps:
-                # columns are the transposed projectors' kets
+                # columns are the transposed projectors' kets, on their support rows
                 b = np.array([oracle_choi_ket(o) for o, _ in comps]).conj().T
-                q = np.array([q for _, q in comps])
-                out[:, y, :, y] = (b * q) @ b.conj().T
+                rows = np.flatnonzero(b.any(axis=1))
+                b, q = b[rows], np.array([q for _, q in comps])
+                out[rows[:, None], y, rows, y] = (b * q) @ b.conj().T
         return out.reshape(PARTY_DIM * p, PARTY_DIM * p)
 
 
@@ -239,7 +251,7 @@ def _readout_blocks(w: ProcessMatrix) -> np.ndarray:
 def superinstrument(w: ProcessMatrix) -> np.ndarray:
     """Per-outcome blocks W[y] = Tr_c[(1 (x) |y><y|) W] over the party spaces,
     as one read-only stack of shape (P, 256, 256)."""
-    parts = np.stack([b @ b.conj().T for b in _readout_blocks(w)])
+    parts = np.stack([_gram(b) for b in _readout_blocks(w)])
     parts.flags.writeable = False
     return parts
 

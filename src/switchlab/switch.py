@@ -17,24 +17,15 @@ reproduce the ideal pure-state evolution exactly.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .gates import NamedGate, SignMatrix, fourier_matrix, gate_set_G
-from .linalg import PROBABILITY_TOL, as_state
+from .linalg import PROBABILITY_TOL, _as_index, as_state
 
 _LABELS = "ABCDEFGH"
-
-
-def _as_index(value, what: str) -> int:
-    """``value`` as an int; any integer type, numpy's included, is accepted."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, not {value!r}") from None
 
 
 @dataclass(frozen=True)

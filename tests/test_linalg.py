@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from switchlab import linalg
 from switchlab.linalg import choi_vector, kron_all, random_unitary
@@ -100,3 +100,11 @@ def test_basis_state_rejects_indices_outside_the_dimension():
     for index in (3, -1):
         with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
             linalg.basis_state(3, index)
+
+
+def test_basis_state_reads_its_index_as_an_integer():
+    # True used to index as a mask, setting every amplitude (norm sqrt 2)
+    assert_array_equal(linalg.basis_state(2, True), [0, 1])
+    assert_array_equal(linalg.basis_state(3, np.int64(2)), [0, 0, 1])
+    with pytest.raises(ValueError, match="basis index must be an integer, not 1.5"):
+        linalg.basis_state(2, 1.5)

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import os
+import time
 
 import numpy as np
 import pytest
@@ -84,6 +86,14 @@ def test_definite_order_rejects_answers_outside_the_readout(answer_y):
     # -1 used to wrap around to the comb for answer 3
     with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
         definite_order_process("ABCD", basis_state(2, 0), answer_y=answer_y)
+
+
+def test_definite_order_reads_a_boolean_answer_as_its_integer():
+    # answer_y=True used to select every readout row: a comb of trace 64
+    psi = random_state(2, np.random.default_rng(12))
+    comb = definite_order_process("ABCD", psi, answer_y=True)
+    assert abs(comb.trace - 16.0) < 1e-12
+    assert np.array_equal(comb.factor, definite_order_process("ABCD", psi, 1).factor)
 
 
 def test_switch_ket_contraction_reproduces_products():
@@ -372,6 +382,88 @@ def test_process_rows_must_be_whole_readout_blocks():
 
 
 # ---------------------------------------------------------------------------
+# dense builds
+# ---------------------------------------------------------------------------
+
+def _factor_with_zero_rows():
+    """A random (2048, 3) factor, about half of its rows zero, scaled to trace 16."""
+    rng = np.random.default_rng(18)
+    f = rng.normal(size=(2048, 3)) + 1j * rng.normal(size=(2048, 3))
+    f[rng.random(2048) < 0.5] = 0.0
+    return f * (4.0 / np.linalg.norm(f))
+
+
+def test_comb_matrices_are_bit_equal_to_the_factor_product():
+    # one nonzero per comb row, so every entry is a single product
+    for comb in _combs(15)[1].values():
+        f = comb.factor
+        assert np.array_equal(comb.matrix, f @ f.conj().T)
+
+
+def test_dense_process_matches_the_factor_product(m4):
+    rng = np.random.default_rng(17)
+    factors = [build_effective_process(random_state(2, rng), m4).factor for _ in range(10)]
+    for f in factors + [_factor_with_zero_rows()]:
+        mat = ProcessMatrix(f).matrix
+        assert_allclose(mat, f @ f.conj().T, rtol=0, atol=1e-15)
+        assert np.array_equal(mat, mat.conj().T)
+        assert not mat.flags.writeable
+        zero = ~f.any(axis=1)
+        assert not mat[zero].any() and not mat[:, zero].any()
+
+
+def _full_row_witness(g):
+    """Reference dense witness: (b * q) @ b^dagger per readout column, b the
+    column's Choi kets on all 256 rows."""
+    out = np.zeros((256, 4, 256, 4), dtype=complex)
+    for y in range(4):
+        comps = [(o, q) for o, yk, q in g.components if yk == y]
+        if comps:
+            b = np.array([oracle_choi_ket(o) for o, _ in comps]).conj().T
+            q = np.array([q for _, q in comps])
+            out[:, y, :, y] = (b * q) @ b.conj().T
+    return out.reshape(1024, 1024)
+
+
+def test_witness_matrix_is_bit_equal_to_the_full_row_product(promise_sets):
+    rng = np.random.default_rng(19)
+    haar = [(random_oracle(rng), int(rng.integers(0, 4)), 1 / 8) for _ in range(8)]
+    witnesses = [uniform_witness(chart_fixture(name)) for name in ("thirty", "table1", "table2")]
+    witnesses += [uniform_witness(promise_sets[1]), witness_operator(haar)]
+    assert len(promise_sets[1]) == 460
+    for g in witnesses:
+        assert np.array_equal(g.matrix(), _full_row_witness(g))
+
+
+def test_superinstrument_matches_the_block_products(m4):
+    rng = np.random.default_rng(20)
+    for f in (build_effective_process(random_state(2, rng), m4).factor, _factor_with_zero_rows()):
+        w = ProcessMatrix(f)
+        blocks = f.reshape(256, w.P, -1).swapaxes(0, 1)
+        assert_allclose(superinstrument(w), [b @ b.conj().T for b in blocks], rtol=0, atol=1e-15)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="a BLAS worker thread needs a second CPU")
+def test_dense_builds_leave_no_blas_thread_spinning(m4):
+    # a threaded BLAS product leaves an idle OpenBLAS worker busy-waiting for
+    # about 130 ms, which shows as process CPU time while the caller sleeps
+    w = build_effective_process(basis_state(2, 0), m4)
+    builds = {
+        "comb": lambda: definite_order_process("ABCD", basis_state(2, 0), 1).matrix,
+        "effective process": lambda: build_effective_process(basis_state(2, 0), m4).matrix,
+        "thirty witness": lambda: uniform_witness(chart_fixture("thirty")).matrix(),
+        "superinstrument": lambda: superinstrument(w),
+    }
+    time.sleep(0.3)   # a worker woken by an earlier test goes idle first
+    for name, build in builds.items():
+        build()
+        start = time.process_time()
+        time.sleep(0.2)
+        assert time.process_time() - start < 0.02, name
+
+
+# ---------------------------------------------------------------------------
 # decomposition verifier
 # ---------------------------------------------------------------------------
 
@@ -479,15 +571,21 @@ def test_verifier_rejects_non_finite_parts(bad):
 ORDERINGS = list(itertools.permutations("ABCD"))
 
 
-def _weighted_combs(seed):
-    """The 24 Dirichlet-weighted definite-order combs, built as the benchmark
-    builds them: a random target and a random answer per ordering."""
+def _combs(seed):
+    """Dirichlet weights and the 24 definite-order combs, built as the
+    benchmark builds them: a random target and a random answer per ordering."""
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(len(ORDERINGS)))
     answers = rng.integers(0, 4, size=len(ORDERINGS))
     target = random_state(2, rng)
-    return {key: w * definite_order_process("".join(key), target, int(y)).matrix
-            for key, w, y in zip(ORDERINGS, weights, answers)}
+    return weights, {key: definite_order_process("".join(key), target, int(y))
+                     for key, y in zip(ORDERINGS, answers)}
+
+
+def _weighted_combs(seed):
+    """The 24 Dirichlet-weighted definite-order combs of ``_combs``, dense."""
+    weights, combs = _combs(seed)
+    return {key: w * combs[key].matrix for key, w in zip(ORDERINGS, weights)}
 
 
 def _mixed_parts(parts):
