@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import require_unitary
+from .linalg import _as_index, require_unitary
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -121,6 +121,7 @@ def hadamard_m4() -> SignMatrix:
 
 def sylvester_hadamard(k: int) -> SignMatrix:
     """Recursive doubling construction of an order 2**k sign matrix, k <= 6."""
+    k = _as_index(k, "k")
     if k < 0:
         raise ValueError("k must be nonnegative")
     if 2 ** k > 64:
@@ -134,6 +135,7 @@ def sylvester_hadamard(k: int) -> SignMatrix:
 
 def fourier_matrix(p: int) -> np.ndarray:
     """Unitary with entries omega**(j*k)/sqrt(P), omega = exp(2 pi i / P)."""
+    p = _as_index(p, "P")
     if p < 1:
         raise ValueError("P must be at least 1")
     j = np.arange(p)

@@ -1,7 +1,7 @@
 """Process-matrix view of the controlled-ordering experiment.
 
 A process matrix is a positive operator over the input/output spaces of the
-four gate slots (plus control registers) that encodes how the slots are
+N gate slots (plus control registers) that encodes how the slots are
 wired.  This module builds the ideal controlled-ordering wiring, the
 effective process left after fixing the control preparation/readout and the
 target input, witness operators whose expectation is the algorithm's success
@@ -19,11 +19,11 @@ parts (they may come from anywhere), reads each once for its support, checks
 positivity and takes the readout trace on the support block, and rejects a
 part with a non-finite entry.
 
-One fixed layout (asserted by tests), slowest factor first:
+N is read from the inputs.  One layout (asserted by tests), slowest first:
 
-* the eight party qubits (A_I, A_O, B_I, B_O, C_I, C_O, D_I, D_O), then the
-  readout ``c`` of dimension P: processes and witnesses live on 256 * P
-  rows, and the P of a process is read from its row count;
+* the 2N party qubits (A_I, A_O, B_I, B_O, ...), then the readout ``c`` of
+  dimension P: processes and witnesses live on 4**N * P rows, and a factor
+  has shape (4**N, P, r), so its shape gives both N and P;
 * wiring chains run over (parties, t_f), and the ideal switch ket over
   (c_p, t_p, parties, t_f, c_f);
 * wiring links are identities, i.e. unnormalized maximally-entangled pairs
@@ -42,10 +42,7 @@ import numpy as np
 from .gates import SignMatrix
 from .linalg import (CCGO_TOL, CCGO_TRACE_RTOL, PROBABILITY_TOL, WITNESS_RANGE_TOL, _as_index,
                      as_state, basis_state, choi_vector, kron_all)
-from .switch import OracleSet, PermutationSet, SIGMA_STAR
-
-PARTY_NAMES = "ABCD"
-PARTY_DIM = 2 ** (2 * len(PARTY_NAMES))  # 256: the eight party qubits
+from .switch import _LABELS, OracleSet, PermutationSet, SIGMA_STAR
 
 _EYE = np.eye(2, dtype=complex)
 
@@ -77,28 +74,33 @@ def _psd_violation(mat: np.ndarray) -> float:
 @dataclass(frozen=True, eq=False)
 class ProcessMatrix:
     """Positive-semidefinite operator W = A A^dagger over (parties, c),
-    stored as its factor A of shape (256 * P, r)."""
+    stored as its factor A of shape (4**N, P, r)."""
 
     factor: np.ndarray = field(repr=False)
 
     def __init__(self, factor):
         factor = np.array(factor, dtype=complex)
-        if factor.ndim != 2 or factor.shape[0] == 0 or factor.shape[0] % PARTY_DIM:
-            raise ValueError(f"factor shape {factor.shape} is not ({PARTY_DIM} * P, r)")
+        if factor.ndim != 3 or 0 in factor.shape or factor.shape[0] not in 4 ** np.arange(1, 9):
+            raise ValueError(f"factor shape {factor.shape} is not (4**N, P, r) with 1 <= N <= 8")
         if not np.all(np.isfinite(factor)):
             raise ValueError("process factor has non-finite entries")
         factor.flags.writeable = False
         object.__setattr__(self, "factor", factor)
 
     @property
+    def N(self) -> int:
+        """Number of gate slots."""
+        return self.factor.shape[0].bit_length() // 2
+
+    @property
     def P(self) -> int:
         """Dimension of the readout ``c``."""
-        return self.factor.shape[0] // PARTY_DIM
+        return self.factor.shape[1]
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense W, built on first use; read-only."""
-        return _gram(self.factor)
+        """Dense W over 4**N * P rows, built on first use; read-only."""
+        return _gram(self.factor.reshape(-1, self.factor.shape[2]))
 
     @property
     def trace(self) -> float:
@@ -108,18 +110,12 @@ class ProcessMatrix:
 def _chain(order, head) -> np.ndarray:
     """Identity links through the slots in ``order`` over (parties, t_f):
     ``head`` [..., 2] feeds the first slot's input, each slot's output the
-    next slot's input, and the last output t_f.  Shape [..., 2 x 9]."""
-    # axis letters: a..h the party qubits (A_I, A_O, ..., D_O), i for t_f
-    ins = [chr(ord("a") + 2 * j) for j in order] + ["i"]
-    outs = [chr(ord("b") + 2 * j) for j in order]
-    links = ",".join(o + i for o, i in zip(outs, ins[1:]))
-    return np.einsum(f"...{ins[0]},{links}->...abcdefghi", head, *[_EYE] * len(outs))
-
-
-def _require_four_slots(perms: PermutationSet) -> None:
-    if perms.N != len(PARTY_NAMES):
-        raise ValueError(f"process wiring needs orderings of the four slots "
-                         f"{PARTY_NAMES}, got orderings of {perms.N} labels")
+    next slot's input, and the last output t_f.  Shape [..., 2 x (2N+1)]."""
+    # axis letters: the party qubits (A_I, A_O, B_I, ...), then t_f
+    axes = "".join(chr(ord("a") + k) for k in range(2 * len(order) + 1))
+    ins = [axes[2 * j] for j in order] + [axes[-1]]
+    links = ",".join(axes[2 * j + 1] + i for j, i in zip(order, ins[1:]))
+    return np.einsum(f"...{ins[0]},{links}->...{axes}", head, *[_EYE] * len(order))
 
 
 def build_switch_process_ket(perms: PermutationSet = SIGMA_STAR) -> np.ndarray:
@@ -129,9 +125,7 @@ def build_switch_process_ket(perms: PermutationSet = SIGMA_STAR) -> np.ndarray:
     links routing t_p through the gate slots in ordering x and out to t_f.
     Squared norm is P * 2**(N+1) (orthogonal branches, N+1 links each).
     """
-    _require_four_slots(perms)
-    p = perms.P
-    ket = np.zeros((p, 2) + (2,) * 9 + (p,), dtype=complex)
+    ket = np.zeros((perms.P, 2) + (2,) * (2 * perms.N + 1) + (perms.P,), dtype=complex)
     for x, sig in enumerate(perms.sigma):
         ket[x, ..., x] = _chain(sig, _EYE)
     return ket.reshape(-1)
@@ -148,12 +142,10 @@ def build_effective_ket(target_in: np.ndarray, m: SignMatrix,
     P branches each carry 2**N / P and are orthogonal on ``c``).
     """
     target = as_state(target_in)
-    _require_four_slots(perms)
     if m.P != perms.P:
         raise ValueError("sign-matrix order does not match the permutation set")
-    h = m.as_gate()
     chains = np.array([_chain(sig, target) for sig in perms.sigma])
-    return np.einsum("cx,x...->...c", m.as_gate_inverse() * h[:, 0], chains).reshape(-1)
+    return np.einsum("cx,x...->...c", m.as_gate_inverse() * m.as_gate()[:, 0], chains).reshape(-1)
 
 
 def build_effective_process(target_in: np.ndarray, m: SignMatrix,
@@ -161,8 +153,7 @@ def build_effective_process(target_in: np.ndarray, m: SignMatrix,
     """Effective process over (parties, c): the pure wiring ket with the
     final target register traced out.  Trace 2**N; rank <= 2, with one
     factor column per value of t_f."""
-    ket = build_effective_ket(target_in, m, perms).reshape(-1, 2, m.P)
-    return ProcessMatrix(ket.transpose(0, 2, 1).reshape(-1, 2))
+    return ProcessMatrix(build_effective_ket(target_in, m, perms).reshape(-1, 2, m.P).transpose(0, 2, 1))
 
 
 def definite_order_process(order: str, target_in: np.ndarray,
@@ -171,11 +162,11 @@ def definite_order_process(order: str, target_in: np.ndarray,
     ``answer_y`` on a four-outcome readout: the baseline every witness is
     scored against."""
     target = as_state(target_in)
-    if sorted(order.upper()) != list(PARTY_NAMES):
-        raise ValueError(f"{order!r} is not an ordering of {PARTY_NAMES}")
-    seq = [PARTY_NAMES.index(ch) for ch in order.upper()]
-    e_y = basis_state(4, answer_y).reshape(4, 1)
-    return ProcessMatrix(np.kron(_chain(seq, target).reshape(-1, 2), e_y))
+    labels = _LABELS[:len(order)]
+    if not order or sorted(order.upper()) != list(labels):
+        raise ValueError(f"{order!r} is not an ordering of {labels}")
+    chain = _chain([labels.index(ch) for ch in order.upper()], target)
+    return ProcessMatrix(basis_state(4, answer_y)[:, None] * chain.reshape(-1, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +174,7 @@ def definite_order_process(order: str, target_in: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def oracle_choi_ket(oracle: OracleSet) -> np.ndarray:
-    """Product of the gate Choi vectors over (A_I, A_O, ..., D_O)."""
+    """Product of the gate Choi vectors over the party qubits (A_I, A_O, B_I, ...)."""
     return kron_all([choi_vector(g.matrix) for g in oracle.gates])
 
 
@@ -207,16 +198,20 @@ class WitnessOperator:
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > PROBABILITY_TOL:
             raise ValueError("weights must be nonnegative and sum to 1")
         for o, y, _ in components:
-            if o.N != 4 or o.dim != 2:
-                raise ValueError("witness components need four qubit gates")
+            if o.N != components[0][0].N or o.dim != 2:
+                raise ValueError("witness components need qubit gates, as many in each")
             if not 0 <= y < self.P:
                 raise ValueError(f"outcome {y} out of range for readout dim {self.P}")
         object.__setattr__(self, "components", components)
 
+    @property
+    def N(self) -> int:
+        return self.components[0][0].N
+
     def matrix(self) -> np.ndarray:
-        """Dense form: sum_k q_k (|U_k>><<U_k|)^T (x) |y_k><y_k|."""
-        p = self.P
-        out = np.zeros((PARTY_DIM, p, PARTY_DIM, p), dtype=complex)
+        """Dense form over 4**N * P rows: sum_k q_k (|U_k>><<U_k|)^T (x) |y_k><y_k|."""
+        d, p = 4 ** self.N, self.P
+        out = np.zeros((d, p, d, p), dtype=complex)
         for y in range(p):
             comps = [(o, q) for o, yk, q in self.components if yk == y]
             if comps:
@@ -225,7 +220,7 @@ class WitnessOperator:
                 rows = np.flatnonzero(b.any(axis=1))
                 b, q = b[rows], np.array([q for _, q in comps])
                 out[rows[:, None], y, rows, y] = (b * q) @ b.conj().T
-        return out.reshape(PARTY_DIM * p, PARTY_DIM * p)
+        return out.reshape(d * p, d * p)
 
 
 def witness_operator(components) -> WitnessOperator:
@@ -243,28 +238,24 @@ def uniform_witness(oracles) -> WitnessOperator:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _readout_blocks(w: ProcessMatrix) -> np.ndarray:
-    """Rows of the factor grouped by readout outcome, shape (P, 256, r)."""
-    return w.factor.reshape(PARTY_DIM, w.P, -1).swapaxes(0, 1)
-
-
 def superinstrument(w: ProcessMatrix) -> np.ndarray:
     """Per-outcome blocks W[y] = Tr_c[(1 (x) |y><y|) W] over the party spaces,
-    as one read-only stack of shape (P, 256, 256)."""
-    parts = np.stack([_gram(b) for b in _readout_blocks(w)])
+    as one read-only stack of shape (P, 4**N, 4**N)."""
+    parts = np.stack([_gram(b) for b in w.factor.swapaxes(0, 1)])
     parts.flags.writeable = False
     return parts
 
 
 def success_probability(w: ProcessMatrix, g: WitnessOperator) -> float:
-    """Tr[G W] = sum_k q_k ||U_k>>^T A_{y_k}|^2, where A_y holds the factor
-    rows at readout outcome y and |U_k>> is the oracle's Choi ket."""
+    """Tr[G W] = sum_k q_k ||U_k>>^T A_{y_k}|^2, where A_y = factor[:, y] holds
+    the factor rows at readout outcome y and |U_k>> is the oracle's Choi ket."""
     if w.P != g.P:
         raise ValueError(f"witness readout dim {g.P} does not match process readout dim {w.P}")
-    blocks = _readout_blocks(w)
+    if w.N != g.N:
+        raise ValueError(f"witness gate count {g.N} does not match process slot count {w.N}")
     val = 0.0
     for oracle, y, q in g.components:
-        amp = oracle_choi_ket(oracle) @ blocks[y]
+        amp = oracle_choi_ket(oracle) @ w.factor[:, y]
         val += q * float(np.vdot(amp, amp).real)
     if not -WITNESS_RANGE_TOL <= val <= 1.0 + WITNESS_RANGE_TOL:
         raise ValueError(f"success probability {val} outside [0, 1]")
@@ -284,7 +275,7 @@ class ConstraintCheck:
 
 @dataclass(frozen=True)
 class CcgoReport:
-    """Outcome of checking a 24-part decomposition against the reduced
+    """Outcome of checking an N!-part decomposition against the reduced
     identity-on-output constraints.  ``normalized`` records whether the parts
     sum to the canonical trace 2**N (vacuous passes are possible otherwise)."""
 
@@ -329,25 +320,28 @@ def _support(mat: np.ndarray) -> np.ndarray:
 
 
 def verify_ccgo_decomposition(parts) -> CcgoReport:
-    """Check a candidate decomposition {ordering -> matrix over (parties, c)}.
+    """Check a candidate decomposition {ordering -> matrix over (parties, c)}
+    whose keys are the N! orderings of the first N labels.
 
     Requirements checked, one named entry each: every part positive
-    semidefinite; for each ordering (i,j,k,l) the readout-traced part is
-    identity on l_O; tracing slot l leaves identity on k_O; summing over k
-    and tracing leaves identity on j_O; summing over j likewise on i_O.
+    semidefinite; each readout-traced part is identity on its last slot's
+    output; tracing that slot and summing over it leaves identity on the
+    previous slot's output, down to the first slot.
     Each part is read once, for its support (indices whose row or column
     holds a nonzero); the rest uses the support block.  Non-finite parts raise.
     """
-    orderings = list(itertools.permutations(PARTY_NAMES))
     keys = {tuple(k) for k in parts.keys()}
+    n = max(map(len, keys), default=1)
+    orderings = list(itertools.permutations(_LABELS[:n]))
     if keys != set(orderings):
-        raise ValueError("need exactly the 24 orderings of A, B, C, D as keys")
-    d = PARTY_DIM * 4
-    psd_checks: list[ConstraintCheck] = []
-    checks: list[ConstraintCheck] = []
-    traces: list[float] = []
+        raise ValueError(f"need exactly the {len(orderings)} orderings of {_LABELS[:n]} as keys")
+    d = (np.shape(parts[orderings[0]]) or (0,))[0]
+    p = d // 4 ** n
+    if p == 0 or d % 4 ** n:
+        raise ValueError(f"part dimension {d} is not 4**{n} party rows times a readout")
+    psd_checks, checks, traces = [], [], []
 
-    def readout_traced():  # (2,)*16 tensors and support rows in sorted order, psd-checked as read
+    def readout_traced():  # (2,)*4N tensors and support rows in sorted order, psd-checked as read
         for key in orderings:
             mat = np.asarray(parts[key], dtype=complex)
             if mat.shape != (d, d):
@@ -363,32 +357,32 @@ def verify_ccgo_decomposition(parts) -> CcgoReport:
             res = _psd_violation(sub)
             psd_checks.append(ConstraintCheck(f"psd[{''.join(key)}]", res <= CCGO_TOL, res))
             # entry pairs sharing c, added in increasing c as a trace over c adds them
-            a, b = np.nonzero(support[:, None] % 4 == support % 4)
-            traced = np.zeros((PARTY_DIM, PARTY_DIM), dtype=complex)
-            np.add.at(traced, (support[a] // 4, support[b] // 4), sub[a, b])
-            yield key, traced.reshape((2,) * 16), support // 4
+            a, b = np.nonzero(support[:, None] % p == support % p)
+            traced = np.zeros((4 ** n, 4 ** n), dtype=complex)
+            np.add.at(traced, (support[a] // p, support[b] // p), sub[a, b])
+            yield key, traced.reshape((2,) * (4 * n)), support // p
 
-    # prefix lengths 4 -> 1: each reduced part must be identity on the output
+    # prefix lengths N -> 1: each reduced part must be identity on the output
     # of its prefix's last slot; tracing that slot out and summing over the
     # completions of each shorter prefix gives the next level's parts; parts
-    # are read one at a time, so only three-slot tensors accumulate
+    # are read one at a time, so only (N-1)-slot tensors accumulate
     level = readout_traced()
-    for _ in range(len(PARTY_NAMES)):
+    for _ in range(n):
         shorter: dict[tuple, np.ndarray] = {}
         for prefix, t, rows in level:
             last = prefix[-1]
-            n = t.ndim // 2
+            k = t.ndim // 2
             i = 2 * sorted(prefix).index(last)  # axis of last_I; last_O is next
             res = _identity_residual(t, i + 1, rows)
             checks.append(ConstraintCheck(f"reduced[{''.join(prefix)}] = ~W (x) 1[{last}_O]",
                                           res <= CCGO_TOL, res))
             # the slot's two qubits as one axis of dimension 4, traced at once
-            side = (2 ** i, 4, 2 ** (n - i - 2))
-            tr = np.trace(t.reshape(side + side), axis1=1, axis2=4).reshape((2,) * (2 * n - 4))
+            side = (2 ** i, 4, 2 ** (k - i - 2))
+            tr = np.trace(t.reshape(side + side), axis1=1, axis2=4).reshape((2,) * (2 * k - 4))
             head = prefix[:-1]
             shorter[head] = shorter[head] + tr if head in shorter else tr
         level = [(head, t, None) for head, t in sorted(shorter.items())]
 
     total_trace = sum(traces)
-    normalized = abs(total_trace - 2 ** 4) <= CCGO_TRACE_RTOL * 2 ** 4
+    normalized = abs(total_trace - 2 ** n) <= CCGO_TRACE_RTOL * 2 ** n
     return CcgoReport(tuple(psd_checks + checks), total_trace, normalized)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import _as_index
 from .switch import _LABELS, PermutationSet
 
 
@@ -226,6 +227,7 @@ def quartet_census(n_labels: int = 4, collect: int | None = None) -> QuartetCens
     share their length, so only the first quartet of each such orbit is
     searched, in batches of ``_CHUNK``.  ``collect`` optionally gathers the
     quartets of one specific length, in quartet order."""
+    n_labels = _as_index(n_labels, "n_labels")
     if not 1 <= n_labels <= 5:
         raise ValueError(f"n_labels must be between 1 and 5, got {n_labels}")
     perms = np.array(list(itertools.permutations(range(n_labels))))

@@ -43,6 +43,8 @@ class PermutationSet:
         n = len(sigma[0])
         if n == 0:
             raise ValueError("an ordering needs at least one label")
+        if n > len(_LABELS):
+            raise ValueError(f"at most {len(_LABELS)} labels supported, got {n}")
         for row in sigma:
             if sorted(row) != list(range(n)):
                 raise ValueError(f"{row} is not a permutation of 0..{n - 1}")
@@ -70,8 +72,6 @@ class PermutationSet:
     def from_strings(cls, words, require_identity_reference: bool = True) -> "PermutationSet":
         words = list(words)
         n = len(words[0]) if words else 0   # no words: the constructor names the error
-        if n > len(_LABELS):
-            raise ValueError("at most 8 labels supported")
         alphabet = _LABELS[:n]
         rows = []
         for w in words:

@@ -304,11 +304,27 @@ def test_witness_components_file_rejects_non_finite_weight(capsys, tmp_path):
 
 
 def test_witness_rejects_orderings_of_three_slots(capsys, tmp_path):
+    # the default witness holds four-gate sets; the process has three slots
     path = tmp_path / "perms.json"
     path.write_text(json.dumps(["ABC", "BAC", "CBA", "ACB"]))
     code, out, err = run_cli(capsys, "witness", "--perms", str(path))
     assert code == 2 and not out
-    assert "needs orderings of the four slots ABCD" in err
+    assert "witness gate count 4 does not match process slot count 3" in err
+
+
+def test_witness_of_three_gate_promise_sets_scores_unity(capsys, tmp_path):
+    from switchlab import PermutationSet, enumerate_promise_sets, gate_set_G, hadamard_m4
+    orders = ["ABC", "BCA", "CAB", "ACB"]
+    census, sets = enumerate_promise_sets(gate_set_G(), PermutationSet.from_strings(orders),
+                                          hadamard_m4())
+    assert census.per_column == (100, 12, 12, 12)
+    perms, comps = tmp_path / "perms.json", tmp_path / "components.json"
+    perms.write_text(json.dumps(orders))
+    comps.write_text(json.dumps([
+        {"gates": [{"name": g.name, "matrix": as_pairs(g.matrix)} for g in s.gates],
+         "y": s.claimed_y, "q": 1 / len(sets)} for s in sets]))
+    env = run_json(capsys, "witness", "--perms", str(perms), "--components", str(comps))
+    assert env["results"] == {"p_succ": 1.0, "process_trace": 8.0, "components": 136}
 
 
 def test_witness_rejects_eight_orderings(capsys, tmp_path):

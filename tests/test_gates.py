@@ -111,6 +111,16 @@ def test_fourier_matrix_unitary(p):
     assert_allclose(f @ f.conj().T, np.eye(p), atol=1e-12)
 
 
+@pytest.mark.parametrize("build, arg", [(fourier_matrix, 2.5), (fourier_matrix, "4"),
+                                        (sylvester_hadamard, 2.5), (sylvester_hadamard, None)])
+def test_matrix_orders_must_be_integers(build, arg):
+    # fourier_matrix(2.5) was a 3x3 matrix scaled by 1/sqrt(2.5), not unitary;
+    # sylvester_hadamard(2.5) raised TypeError from range
+    with pytest.raises(ValueError, match=f"must be an integer, not {arg!r}"):
+        build(arg)
+    assert fourier_matrix(np.int64(3)).shape == (3, 3) and sylvester_hadamard(np.int8(2)).P == 4
+
+
 def test_fourier_small_values():
     assert_allclose(fourier_matrix(1), [[1]])
     assert_allclose(fourier_matrix(2), np.array([[1, 1], [1, -1]]) / np.sqrt(2), atol=1e-12)

@@ -9,23 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from switchlab import (OracleSet, SIGMA_STAR, all_products, basis_state,
+from switchlab import (OracleSet, PermutationSet, SIGMA_STAR, all_products, basis_state,
                        build_effective_ket, build_effective_process,
                        build_switch_process_ket, chart_fixture, choi_vector,
-                       definite_order_process, kron_all, oracle_choi_ket,
-                       random_state, run_hadamard_algorithm, success_probability,
-                       superinstrument, uniform_witness, verify_ccgo_decomposition,
-                       witness_operator)
+                       definite_order_process, enumerate_promise_sets, gate_set_G,
+                       kron_all, oracle_choi_ket, random_state, run_hadamard_algorithm,
+                       success_probability, superinstrument, uniform_witness,
+                       verify_ccgo_decomposition, witness_operator)
 from switchlab.gates import NamedGate
 from switchlab.linalg import random_unitary
 from switchlab.processes import ProcessMatrix, WitnessOperator, _identity_residual
 
 LINK = np.array([1, 0, 0, 1], dtype=complex)
-QUBITS = [f"{s}_{io}" for s in "ABCD" for io in "IO"]
+# three slots: the cyclic orderings plus one transposition, 136 promise sets
+SIGMA_3 = PermutationSet.from_strings(["ABC", "BCA", "CAB", "ACB"])
+SIGMA_5 = PermutationSet.from_strings(["ABCDE", "ACBED", "DCAEB", "EBADC"])
 
 
-def random_oracle(rng):
-    return OracleSet(tuple(NamedGate(f"U{i}", random_unitary(2, rng)) for i in range(4)))
+def random_oracle(rng, n=4):
+    return OracleSet(tuple(NamedGate(f"U{i}", random_unitary(2, rng)) for i in range(n)))
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +43,10 @@ def test_switch_ket_norm():
     w4 = build_switch_process_ket(SIGMA_STAR)
     # four orthogonal branches, five links of squared norm 2 each
     assert abs(np.vdot(w4, w4).real - 128.0) < 1e-9
+    for perms in (SIGMA_3, SIGMA_5):   # P branches, N + 1 links each
+        ket = build_switch_process_ket(perms)
+        assert ket.size == perms.P ** 2 * 2 ** (2 * perms.N + 2)
+        assert abs(np.vdot(ket, ket).real - perms.P * 2 ** (perms.N + 1)) < 1e-9
 
 
 def kron_chain(order, head, extra=()):
@@ -48,8 +54,9 @@ def kron_chain(order, head, extra=()):
     slot's input), then one link per slot in wiring order, as one Kronecker
     product, its legs transposed to (extra, parties, t_f)."""
     labels = list(extra) + [f"{s}_{io}" for s in order for io in "IO"] + ["t_f"]
+    qubits = [f"{s}_{io}" for s in sorted(order) for io in "IO"]
     vec = kron_all([head] + [LINK] * len(order)).reshape([2] * len(labels))
-    return vec.transpose([labels.index(lab) for lab in [*extra, *QUBITS, "t_f"]]).reshape(-1)
+    return vec.transpose([labels.index(lab) for lab in [*extra, *qubits, "t_f"]]).reshape(-1)
 
 
 @pytest.mark.parametrize("x", range(4))
@@ -66,18 +73,22 @@ def test_switch_ket_branch_wiring(x):
             assert not np.any(t[x, ..., x2])
 
 
-@pytest.mark.parametrize("order", ["ABCD", "CBDA", "DACB", "BDAC"])
+@pytest.mark.parametrize("order", ["ABCD", "CBDA", "DACB", "BDAC", "CAB", "BAC", "EBADC"])
 def test_definite_order_comb_matches_kron_reference(order):
     psi = random_state(2, np.random.default_rng(11))
-    chain = kron_chain(order, psi).reshape(256, 2)
+    chain = kron_chain(order, psi).reshape(-1, 2)
     for y in range(4):
         expected = np.kron(chain, basis_state(4, y).reshape(4, 1))
-        assert_allclose(definite_order_process(order, psi, y).factor, expected, atol=1e-12)
+        comb = definite_order_process(order, psi, y)
+        assert comb.N == len(order) and comb.P == 4
+        assert_allclose(comb.factor.reshape(-1, 2), expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("order", ["ABCE", "ABCA", "ABC"])
-def test_definite_order_rejects_non_orderings(order):
-    with pytest.raises(ValueError, match=f"'{order}' is not an ordering of ABCD"):
+@pytest.mark.parametrize("order, labels", [("ABCE", "ABCD"), ("ABCA", "ABCD"), ("ABD", "ABC"),
+                                           ("ABCDEFGHA", "ABCDEFGH"), ("", "")],
+                         ids=["ABCE", "ABCA", "ABD", "ABCDEFGHA", "empty"])
+def test_definite_order_rejects_non_orderings(order, labels):
+    with pytest.raises(ValueError, match=f"'{order}' is not an ordering of {labels}$"):
         definite_order_process(order, basis_state(2, 0), answer_y=0)
 
 
@@ -142,20 +153,21 @@ def test_effective_process_trace_and_rank(m4, w_eff):
 
 
 def test_process_factor_validation():
-    with pytest.raises(ValueError, match="256"):
-        ProcessMatrix(np.ones((1023, 2)))
-    with pytest.raises(ValueError, match="256"):
-        ProcessMatrix(np.ones(1024))
-    bad = np.ones((1024, 2), dtype=complex)
-    bad[5, 1] = np.nan
+    # the two-dimensional (4**N * P, r) form is refused: its row count alone
+    # does not fix N and P (4**3 * 4 == 4**4 * 1)
+    for shape in [(1023, 2), (1024,), (1024, 2), (256, 4, 2, 1)]:
+        with pytest.raises(ValueError, match=r"is not \(4\*\*N, P, r\)"):
+            ProcessMatrix(np.ones(shape))
+    bad = np.ones((256, 4, 2), dtype=complex)
+    bad[5, 1, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         ProcessMatrix(bad)
 
 
 def test_process_spaces_have_declared_dimensions(w_eff):
     # 256 party rows (eight qubits) for each of the P = 4 readout outcomes
-    assert w_eff.P == 4
-    assert w_eff.factor.shape == (256 * 4, 2)
+    assert w_eff.N == 4 and w_eff.P == 4
+    assert w_eff.factor.shape == (256, 4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +223,8 @@ def test_witness_inputs_raise_value_errors(build, message):
 
 def _kron_witness(components):
     """Reference dense witness: one kron per component, readout last."""
-    out = np.zeros((1024, 1024), dtype=complex)
+    d = 4 ** components[0][0].N * 4
+    out = np.zeros((d, d), dtype=complex)
     for oracle, y, q in components:
         g = oracle_choi_ket(oracle).conj()
         proj = np.zeros((4, 4))
@@ -227,6 +240,26 @@ def test_witness_matrix_matches_kron_reference(n, seed):
     comps = [(random_oracle(rng), int(rng.integers(0, 4)), q)
              for q in rng.dirichlet(np.ones(n))]
     assert_allclose(witness_operator(comps).matrix(), _kron_witness(comps), atol=1e-12)
+
+
+def test_witness_matrix_at_two_and_three_gates_matches_kron_reference():
+    rng = np.random.default_rng(22)
+    for n in (2, 3):
+        comps = [(random_oracle(rng, n), int(rng.integers(0, 4)), q)
+                 for q in rng.dirichlet(np.ones(3))]
+        g = witness_operator(comps)
+        assert g.N == n and g.matrix().shape == (4 ** n * 4,) * 2
+        assert_allclose(g.matrix(), _kron_witness(comps), atol=1e-12)
+        assert abs(np.trace(g.matrix()).real - 2.0 ** n) < 1e-9
+
+
+def test_witness_gate_counts_must_agree(w_eff):
+    four = chart_fixture("table1")[0]
+    three = OracleSet(four.gates[:3])
+    with pytest.raises(ValueError, match="as many in each"):
+        witness_operator([(four, 0, 0.5), (three, 0, 0.5)])
+    with pytest.raises(ValueError, match="witness gate count 3 does not match process slot count 4"):
+        success_probability(w_eff, witness_operator([(three, 0, 1.0)]))
 
 
 def test_witness_linearity(w_eff):
@@ -301,13 +334,41 @@ def test_witness_value_matches_switch_for_random_oracles(m4, seed):
     assert_allclose(vals, dist, atol=1e-10)
 
 
+@pytest.mark.parametrize("perms", [SIGMA_3, SIGMA_5], ids=["N3", "N5"])
+def test_witness_value_matches_switch_at_other_slot_counts(m4, perms):
+    # the effective process reads N from the orderings; Tr[G W] must still be
+    # the switch's outcome probability, for unit-success and random oracles
+    rng = np.random.default_rng(23)
+    census, sets = enumerate_promise_sets(gate_set_G(), perms, m4)
+    psi = random_state(2, rng)
+    w = build_effective_process(psi, m4, perms)
+    assert (w.N, w.P) == (perms.N, 4) and abs(w.trace - 2.0 ** perms.N) < 1e-9
+    for orc in [random_oracle(rng, perms.N) for _ in range(3)] + list(sets[::97]):
+        dist = run_hadamard_algorithm(orc, perms, m4, psi).outcome_distribution
+        vals = [success_probability(w, witness_operator([(orc, y, 1.0)])) for y in range(4)]
+        assert_allclose(vals, dist, atol=1e-10)
+
+
+@pytest.mark.parametrize("perms, per_column", [(SIGMA_3, (100, 12, 12, 12)),
+                                               (SIGMA_5, (1840, 492, 384, 306))],
+                         ids=["N3", "N5"])
+def test_every_promise_set_scores_unity_at_other_slot_counts(m4, perms, per_column):
+    # a qubit target suffices regardless of N, seen from the process side
+    census, sets = enumerate_promise_sets(gate_set_G(), perms, m4)
+    assert census.per_column == per_column
+    w = build_effective_process(basis_state(2, 0), m4, perms)
+    assert abs(w.trace - 2.0 ** perms.N) < 1e-9
+    values = [success_probability(w, witness_operator([(s, s.claimed_y, 1.0)])) for s in sets]
+    assert np.max(np.abs(np.array(values) - 1.0)) <= 1e-12
+
+
 @settings(max_examples=25, deadline=None)
 @given(rank=st.integers(1, 4), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_factored_evaluation_matches_dense(rank, n, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(1024, rank)) + 1j * rng.normal(size=(1024, rank))
     a /= 4.0 * np.linalg.norm(a)    # Tr W = 1/16 keeps Tr[G W] within [0, 1]
-    w = ProcessMatrix(a)
+    w = ProcessMatrix(a.reshape(256, 4, rank))
     comps = [(random_oracle(rng), int(rng.integers(0, 4)), q)
              for q in rng.dirichlet(np.ones(n))]
     g = WitnessOperator(comps)
@@ -344,7 +405,7 @@ def test_superinstrument_extracts_diagonal_blocks():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(1024, 16)) + 1j * rng.normal(size=(1024, 16))
     rho = a @ a.conj().T
-    si = superinstrument(ProcessMatrix(a))
+    si = superinstrument(ProcessMatrix(a.reshape(256, 4, 16)))
     arr = rho.reshape(256, 4, 256, 4)
     for y in range(4):
         assert_allclose(si[y], arr[:, y, :, y], atol=1e-12)
@@ -355,7 +416,7 @@ def test_superinstrument_consistency_on_random_process():
     rng = np.random.default_rng(6)
     a = rng.normal(size=(1024, 64)) + 1j * rng.normal(size=(1024, 64))
     a *= 4.0 / np.linalg.norm(a)
-    w = ProcessMatrix(a)
+    w = ProcessMatrix(a.reshape(256, 4, 64))
     orc = random_oracle(rng)
     g = witness_operator([(orc, 1, 1.0)])
     dense = float(np.real(np.einsum("ab,ba->", g.matrix(), w.matrix)))
@@ -373,12 +434,17 @@ def _witness_blocks(g: WitnessOperator):
 
 
 def test_process_rows_must_be_whole_readout_blocks():
-    # 256 party rows per readout outcome: anything else has no readout layout
-    for rows in (0, 255, 256 * 4 + 128):
-        with pytest.raises(ValueError, match="256"):
-            ProcessMatrix(np.ones((rows, 2)))
-    w8 = ProcessMatrix(np.eye(256 * 8, 3))
-    assert w8.P == 8 and len(superinstrument(w8)) == 8
+    # 4**N party rows per readout outcome, 1 <= N <= 8: anything else has no
+    # party layout; an empty readout or factor rank has no process
+    for shape in [(0, 4, 2), (1, 4, 2), (255, 4, 2), (128, 4, 2), (4 ** 9, 1, 1),
+                  (256, 0, 2), (256, 4, 0)]:
+        with pytest.raises(ValueError, match=r"is not \(4\*\*N, P, r\)"):
+            ProcessMatrix(np.ones(shape))
+    w8 = ProcessMatrix(np.eye(256 * 8, 3).reshape(256, 8, 3))
+    assert (w8.N, w8.P) == (4, 8) and superinstrument(w8).shape == (8, 256, 256)
+    # the same row count read as three slots with a 16-outcome readout
+    w16 = ProcessMatrix(np.eye(256 * 8, 3).reshape(64, 32, 3))
+    assert (w16.N, w16.P) == (3, 32) and superinstrument(w16).shape == (32, 64, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -386,25 +452,26 @@ def test_process_rows_must_be_whole_readout_blocks():
 # ---------------------------------------------------------------------------
 
 def _factor_with_zero_rows():
-    """A random (2048, 3) factor, about half of its rows zero, scaled to trace 16."""
+    """A random (256, 8, 3) factor, about half of its rows zero, scaled to trace 16."""
     rng = np.random.default_rng(18)
     f = rng.normal(size=(2048, 3)) + 1j * rng.normal(size=(2048, 3))
     f[rng.random(2048) < 0.5] = 0.0
-    return f * (4.0 / np.linalg.norm(f))
+    return (f * (4.0 / np.linalg.norm(f))).reshape(256, 8, 3)
 
 
 def test_comb_matrices_are_bit_equal_to_the_factor_product():
     # one nonzero per comb row, so every entry is a single product
     for comb in _combs(15)[1].values():
-        f = comb.factor
+        f = comb.factor.reshape(-1, 2)
         assert np.array_equal(comb.matrix, f @ f.conj().T)
 
 
 def test_dense_process_matches_the_factor_product(m4):
     rng = np.random.default_rng(17)
     factors = [build_effective_process(random_state(2, rng), m4).factor for _ in range(10)]
-    for f in factors + [_factor_with_zero_rows()]:
-        mat = ProcessMatrix(f).matrix
+    for f3 in factors + [_factor_with_zero_rows()]:
+        mat = ProcessMatrix(f3).matrix
+        f = f3.reshape(-1, f3.shape[2])
         assert_allclose(mat, f @ f.conj().T, rtol=0, atol=1e-15)
         assert np.array_equal(mat, mat.conj().T)
         assert not mat.flags.writeable
@@ -439,7 +506,7 @@ def test_superinstrument_matches_the_block_products(m4):
     rng = np.random.default_rng(20)
     for f in (build_effective_process(random_state(2, rng), m4).factor, _factor_with_zero_rows()):
         w = ProcessMatrix(f)
-        blocks = f.reshape(256, w.P, -1).swapaxes(0, 1)
+        blocks = f.swapaxes(0, 1)
         assert_allclose(superinstrument(w), [b @ b.conj().T for b in blocks], rtol=0, atol=1e-15)
 
 
@@ -467,9 +534,9 @@ def test_dense_builds_leave_no_blas_thread_spinning(m4):
 # decomposition verifier
 # ---------------------------------------------------------------------------
 
-def _zero_parts():
-    zero = np.zeros((1024, 1024), dtype=complex)
-    return {key: zero for key in itertools.permutations("ABCD")}
+def _zero_parts(labels="ABCD"):
+    zero = np.zeros((4 ** len(labels) * 4,) * 2, dtype=complex)
+    return {key: zero for key in itertools.permutations(labels)}
 
 
 def test_definite_order_comb_passes():
@@ -493,12 +560,45 @@ def test_all_orderings_filled_passes():
 
 
 def test_controlled_order_process_fails_the_constraints(m4):
-    parts = _zero_parts()
-    parts[("A", "B", "C", "D")] = build_effective_process(basis_state(2, 0), m4).matrix
+    for perms in (SIGMA_STAR, SIGMA_3):
+        slots = "ABCD"[:perms.N]
+        parts = _zero_parts(slots)
+        parts[tuple(slots)] = build_effective_process(basis_state(2, 0), m4, perms).matrix
+        report = verify_ccgo_decomposition(parts)
+        assert report.normalized and not report.passed
+        failed = [c.name for c in report.failures()]
+        assert any(name.startswith(f"reduced[{slots}]") for name in failed)
+
+
+def test_weighted_combs_pass_at_three_slots():
+    rng = np.random.default_rng(21)
+    orderings = list(itertools.permutations("ABC"))
+    weights, target = rng.dirichlet(np.ones(6)), random_state(2, rng)
+    parts = {key: q * definite_order_process("".join(key), target, int(y)).matrix
+             for key, q, y in zip(orderings, weights, rng.integers(0, 4, size=6))}
     report = verify_ccgo_decomposition(parts)
-    assert not report.passed
-    failed = [c.name for c in report.failures()]
-    assert any(name.startswith("reduced[ABCD]") for name in failed)
+    # 6 psd + 6 + 6 + 3 product-form constraints
+    assert len(report.checks) == 21
+    assert report.passed, [c.name for c in report.failures()]
+    assert report.normalized and abs(report.trace - 8.0) < 1e-9
+
+
+def test_verifier_reads_slot_count_and_readout_from_its_inputs():
+    parts = _zero_parts("ABC")
+    del parts[("A", "B", "C")]
+    with pytest.raises(ValueError, match="need exactly the 6 orderings of ABC as keys"):
+        verify_ccgo_decomposition(parts)
+    with pytest.raises(ValueError, match="need exactly the 24 orderings of ABCD as keys"):
+        verify_ccgo_decomposition({**_zero_parts(), ("A", "B", "C"): np.zeros((256, 256))})
+    odd = {key: np.zeros((1000, 1000)) for key in itertools.permutations("ABC")}
+    with pytest.raises(ValueError, match="part dimension 1000 is not 4\\*\\*3 party rows"):
+        verify_ccgo_decomposition(odd)
+    # 1024 rows over three slots: a 16-outcome readout
+    wide = {key: np.zeros((1024, 1024)) for key in itertools.permutations("ABC")}
+    assert len(verify_ccgo_decomposition(wide).checks) == 21
+    mixed = {**_zero_parts("ABC"), ("C", "B", "A"): np.zeros((1024, 1024))}
+    with pytest.raises(ValueError, match=r"has shape \(1024, 1024\), expected \(256, 256\)"):
+        verify_ccgo_decomposition(mixed)
 
 
 def test_zero_parts_pass_vacuously_but_flagged():
@@ -718,22 +818,29 @@ def _dense_identity_residual(mat, labels, out):
 @settings(max_examples=6, deadline=None)
 @given(count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_verifier_level_residuals_match_dense_reference(count, seed):
-    # random rank-3 PSD parts on a few orderings, zero parts elsewhere
     rng = np.random.default_rng(seed)
-    orderings = list(itertools.permutations("ABCD"))
-    parts = _zero_parts()
+    for slots in ("ABC", "ABCD"):
+        _check_level_residuals(slots, count, rng)
+
+
+def _check_level_residuals(slots, count, rng):
+    """Random rank-3 PSD parts on ``count`` orderings of ``slots``, zero parts
+    elsewhere: every level residual within 1e-12 of a dense reference."""
+    orderings = list(itertools.permutations(slots))
+    parts = _zero_parts(slots)
+    q, d = 2 * len(slots), 4 ** len(slots) * 4
     for idx in rng.choice(len(orderings), size=count, replace=False):
-        a = rng.normal(size=(1024, 3)) + 1j * rng.normal(size=(1024, 3))
+        a = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
         a /= np.linalg.norm(a)
         parts[orderings[idx]] = (a * rng.uniform(0.1, 1.0, size=3)) @ a.conj().T
 
-    # readout traced on the [2]*8 + [4] layout: axis 8 is c on both sides
-    reduced = {key: np.einsum(mat.reshape([2] * 8 + [4] + [2] * 8 + [4]),
-                              list(range(9)) + list(range(9, 17)) + [8],
-                              list(range(8)) + list(range(9, 17))).reshape(256, 256)
+    # readout traced on the [2]*2N + [4] layout: axis 2N is c on both sides
+    reduced = {key: np.einsum(mat.reshape([2] * q + [4] + [2] * q + [4]),
+                              list(range(q + 1)) + list(range(q + 1, 2 * q + 1)) + [q],
+                              list(range(q)) + list(range(q + 1, 2 * q + 1))).reshape(d // 4, d // 4)
                for key, mat in parts.items()}
     expected = {}
-    for _ in range(4):
+    for _ in range(len(slots)):
         shorter = {}
         for prefix in sorted(reduced):
             last = prefix[-1]

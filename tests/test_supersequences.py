@@ -281,6 +281,14 @@ def test_quartet_census_rejects_label_counts_outside_one_to_five():
             quartet_census(n_labels=bad)
 
 
+def test_quartet_census_label_count_must_be_an_integer():
+    # 4.0 raised TypeError from range
+    for bad in (4.0, "4", None):
+        with pytest.raises(ValueError, match=f"n_labels must be an integer, not {bad!r}"):
+            quartet_census(n_labels=bad)
+    assert quartet_census(n_labels=np.int64(3)).histogram == {5: 6, 6: 4}
+
+
 def test_quartet_census_small_label_counts():
     assert quartet_census(n_labels=1).total == 0
     assert quartet_census(n_labels=3).histogram == {5: 6, 6: 4}

@@ -47,6 +47,18 @@ def test_permutation_set_validation():
             empty()
 
 
+def test_permutation_set_refuses_more_labels_than_it_can_name():
+    # nine labels were accepted by the constructor; to_strings and
+    # embed_sequence then raised IndexError on the ninth
+    with pytest.raises(ValueError, match="at most 8 labels supported, got 9"):
+        PermutationSet([tuple(range(9))])
+    with pytest.raises(ValueError, match="not a permutation of 'ABCDEFGH'"):
+        PermutationSet.from_strings(["ABCDEFGHI"])
+    eight = PermutationSet([tuple(range(8)), tuple(range(8))[::-1]])
+    assert eight.to_strings() == ["ABCDEFGH", "HGFEDCBA"]
+    assert PermutationSet.from_strings(eight.to_strings()) == eight
+
+
 # ---------------------------------------------------------------------------
 # ordering products
 # ---------------------------------------------------------------------------
