@@ -34,7 +34,7 @@ _EXPORTS = {
     "supersequences": ("QuartetCensus", "SupersequenceResult", "embed_sequence",
                        "is_supersequence", "quartet_census", "scs"),
     "switch": ("NoiseModel", "OracleSet", "PermutationSet", "RunResult", "SIGMA_STAR",
-               "all_products", "apply_n_switch", "chart_fixture", "run_fourier_algorithm",
+               "all_products", "apply_n_switch", "chart_fixture",
                "run_hadamard_algorithm", "sample_shots"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -2,11 +2,11 @@
 
 Provides the Pauli operators, the ten-gate single-qubit library whose Choi
 matrices span the full 10-dimensional space of qubit-unitary Choi matrices,
-+-1 sign matrices of Hadamard type (including the specific order-4 matrix
-used by all bundled fixtures), and the quantum Fourier transform.
+and sign matrices: +-1 matrices of Hadamard type (including the order-4
+matrix used by all bundled fixtures) and the Fourier phase matrix.
 
-Sign matrices keep integer entries so that orthogonality checks are exact;
-they are converted to complex gates only at the algorithm boundary.
++-1 sign matrices keep integer entries so that orthogonality checks are
+exact; they are converted to complex gates only at the algorithm boundary.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _as_index, require_unitary
+from .linalg import ATOL, _as_index, require_unitary
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -26,7 +26,7 @@ _PAULI = {
 
 @dataclass(frozen=True)
 class NamedGate:
-    """A named square unitary (2x2 everywhere except the Fourier-variant demos)."""
+    """A named square unitary (2x2 in the ten-gate library and every fixture)."""
 
     name: str
     matrix: np.ndarray = field(repr=False)
@@ -71,30 +71,38 @@ def gate_set_G() -> list[NamedGate]:
 
 @dataclass(frozen=True, eq=False)
 class SignMatrix:
-    """P x P matrix of +-1 entries with exactly orthogonal rows and an
-    all-+1 first row and first column (Hadamard type)."""
+    """P x P control matrix with orthogonal rows and an all-1 first row and
+    first column, whose entries are P-th roots of unity: +-1 integers
+    (Hadamard type), kept exact, or complex phases (Fourier type)."""
 
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         e = np.asarray(self.entries)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("sign matrix must be square")
-        if not np.all(np.isin(e, (-1, 1))):
-            raise ValueError("sign matrix entries must be +-1")
-        e = e.astype(np.int64)
+        if e.ndim != 2 or e.shape[0] != e.shape[1] or e.size == 0:
+            raise ValueError("sign matrix must be square and nonempty")
         p = e.shape[0]
-        if not np.array_equal(e @ e.T, p * np.eye(p, dtype=np.int64)):
+        if np.all(np.isin(e, (-1, 1))):
+            e = keys = e.real.astype(np.int64)   # complex-typed +-1 too, without a cast warning
+        else:
+            e = e.astype(complex)
+            keys = np.rint(np.angle(e) * p / (2 * np.pi)) % p   # the nearest root's exponent
+            if not np.max(np.abs(e - np.exp(2j * np.pi * keys / p))) <= ATOL:   # NaN fails
+                raise ValueError("sign matrix entries must be +-1 or P-th roots of unity")
+        if not np.max(np.abs(e @ e.conj().T - p * np.eye(p))) <= p * ATOL:   # exact for +-1
             raise ValueError("sign matrix rows are not exactly orthogonal")
         if not (np.all(e[0] == 1) and np.all(e[:, 0] == 1)):
             raise ValueError("first row and column must be all +1")
         gate = e.astype(complex) / np.sqrt(p)
         readout = (gate[:, 0], gate.conj().T, gate.conj().T.conj())   # switch._readout's constants
-        for a in (e, gate, *readout):
+        # for oracles._promise_residuals: K distinct entries, lookup[x, y] = x K + index of e[x, y]
+        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+        distinct = e.reshape(-1)[first].astype(complex)
+        lookup = np.arange(p)[:, None] * len(first) + which.reshape(p, p)
+        for a in (e, gate, *readout, distinct, lookup):
             a.flags.writeable = False
-        object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "_gate", gate)
-        object.__setattr__(self, "_readout", readout)
+        self.__dict__.update(entries=e, _gate=gate, _readout=readout, _distinct=distinct,
+                             _lookup=lookup)   # frozen: set once, here
 
     @property
     def P(self) -> int:
@@ -105,7 +113,7 @@ class SignMatrix:
         return self._gate
 
     def as_gate_inverse(self) -> np.ndarray:
-        return self.entries.T.astype(complex) / np.sqrt(self.P)
+        return self.entries.conj().T.astype(complex) / np.sqrt(self.P)
 
 
 def hadamard_m4() -> SignMatrix:
@@ -133,10 +141,11 @@ def sylvester_hadamard(k: int) -> SignMatrix:
     return SignMatrix(h)
 
 
-def fourier_matrix(p: int) -> np.ndarray:
-    """Unitary with entries omega**(j*k)/sqrt(P), omega = exp(2 pi i / P)."""
+def fourier_matrix(p: int) -> SignMatrix:
+    """Phase matrix with entries omega**(j*k), omega = exp(2 pi i / P); its
+    gate is the quantum Fourier transform."""
     p = _as_index(p, "P")
     if p < 1:
         raise ValueError("P must be at least 1")
     j = np.arange(p)
-    return np.exp(2j * np.pi * np.outer(j, j) / p) / np.sqrt(p)
+    return SignMatrix(np.exp(2j * np.pi * np.outer(j, j) / p))

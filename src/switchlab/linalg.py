@@ -9,10 +9,10 @@ Conventions used throughout the package:
   side).
 * Every tolerance is an entry of the table below; no function takes one.
   Functions read their entry when called.  Every quantity in this project
-  is O(1) in magnitude and at most 2048-dimensional.  Kets and gates are
-  stored dense; process matrices are stored as factors (see
-  ``processes``), because a dense 1024x1024 process of rank <= 2 wastes
-  both memory and time.
+  is O(1) in magnitude, and no dense operator has more than 2048 rows
+  (``processes`` refuses a larger one).  Kets and gates are stored dense;
+  process matrices are stored as factors (see ``processes``), because a
+  dense 1024x1024 process of rank <= 2 wastes both memory and time.
 
 All functions are pure and never mutate their inputs.
 """

@@ -2,11 +2,12 @@
 conjugation-equivalence classification (the fixture tables are in ``switch``).
 
 The promise is exact operator equality including global phase: every
-ordering product must equal a +-1 multiple of the reference product, with
-the signs forming one column of the sign matrix.  Enumeration iterates all
-ordered gate assignments (labels matter) in lexicographic order, vectorized
-over fixed-size slices of assignments; every ordering product is read from
-one table of all gate words, built once.
+ordering product must equal the reference product times an entry of the
+sign matrix (+-1, or a root of unity for a Fourier matrix), the entries
+forming one of its columns.  Enumeration iterates all ordered gate
+assignments (labels matter) in lexicographic order, vectorized over
+fixed-size slices of assignments; every ordering product is read from one
+table of all gate words, built once.
 
 Qubit gate sets equivalent under a common change of basis share a
 canonical key.  With each gate written U = a I + b.sigma, conjugation fixes
@@ -28,18 +29,18 @@ from .gates import SignMatrix, pauli
 from .linalg import CONJUGATOR_TOL, DEGENERATE, KEY_DECIMALS, PROMISE_TOL, InvariantViolation
 from .switch import OracleSet, PermutationSet, _products, all_products
 
-_CHUNK = 4096   # assignments per vectorized batch
+_CHUNK = 4096   # assignments x distinct sign-matrix entries per vectorized batch
 _MAX_WORDS = 2 ** 22   # gate words an enumeration may build: 256 MiB for qubit gates
 
 
-def _promise_residuals(prods: np.ndarray, signs: np.ndarray) -> np.ndarray:
+def _promise_residuals(prods: np.ndarray, m: SignMatrix) -> np.ndarray:
     """Worst deviation of the ordering products ``prods[..., P, d, d]`` from
-    ``signs[x, y]`` times the reference product, per column y: shape
-    ``[..., Y]``.  Each ordering's distance to +ref and to -ref is taken once."""
-    ref = prods[..., :1, :, :]
-    near = np.max(np.abs(prods - ref), axis=(-2, -1))
-    far = np.max(np.abs(prods + ref), axis=(-2, -1))
-    return np.max(np.where(signs.T > 0, near[..., None, :], far[..., None, :]), axis=-1)
+    ``m.entries[x, y]`` times the reference product, per column y: shape
+    ``[..., Y]``.  Each ordering's distance to each distinct entry times the
+    reference (two for +-1 entries) is taken once."""
+    ref = prods[..., :1, None, :, :]
+    dist = np.max(np.abs(prods[..., None, :, :] - m._distinct[:, None, None] * ref), axis=(-2, -1))
+    return np.max(dist.reshape(*dist.shape[:-2], -1)[..., m._lookup], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,11 @@ class PromiseVerdict:
 
 
 def check_promise(oracle: OracleSet, perms: PermutationSet, m: SignMatrix) -> PromiseVerdict:
-    """Test whether every ordering product equals sign * reference product
-    for the signs of some column; returns the smallest such column."""
+    """Test whether every ordering product equals entry * reference product
+    for the entries of some column; returns the smallest such column."""
     if m.P != perms.P:
         raise ValueError("sign-matrix order does not match the permutation set")
-    residuals = _promise_residuals(all_products(oracle, perms), m.entries)
+    residuals = _promise_residuals(all_products(oracle, perms), m)
     hits = np.flatnonzero(residuals <= PROMISE_TOL)
     if hits.size:
         y = int(hits[0])
@@ -111,11 +112,12 @@ def enumerate_promise_sets(gates, perms: PermutationSet, m: SignMatrix):
     shape = (len(gates),) * perms.N
     counts = np.zeros(m.P, dtype=np.int64)
     sets: list[OracleSet] = []
-    for start in range(0, len(words), _CHUNK):
-        rows = np.arange(start, min(start + _CHUNK, len(words)))   # no table of all assignments
+    step = max(1, _CHUNK // len(m._distinct))   # a batch holds _CHUNK product-sized distances
+    for start in range(0, len(words), step):
+        rows = np.arange(start, min(start + step, len(words)))   # no table of all assignments
         q = np.stack(np.unravel_index(rows, shape), axis=1)
         prods = _word_products(words, len(gates), q, perms.index)
-        ok = _promise_residuals(prods, m.entries) <= PROMISE_TOL
+        ok = _promise_residuals(prods, m) <= PROMISE_TOL
         hits = np.flatnonzero(ok.any(axis=1))
         for c, pis in zip(hits, prods[hits]):   # bit for bit what _products would build
             y = int(np.argmax(ok[c]))   # smallest satisfied column

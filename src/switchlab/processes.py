@@ -45,6 +45,14 @@ from .linalg import (CCGO_TOL, CCGO_TRACE_RTOL, PROBABILITY_TOL, WITNESS_RANGE_T
 from .switch import _LABELS, OracleSet, PermutationSet, SIGMA_STAR
 
 _EYE = np.eye(2, dtype=complex)
+_DENSE_ROWS = 2048   # the largest dense operator: N = 4 slots with P <= 8 outcomes
+
+
+def _dense_zeros(n: int) -> np.ndarray:
+    """An n x n complex zero matrix, refused before allocating when n > _DENSE_ROWS."""
+    if n > _DENSE_ROWS:
+        raise ValueError(f"a dense {(n, n)} operator exceeds {_DENSE_ROWS} rows; use the factors")
+    return np.zeros((n, n), dtype=complex)
 
 
 def _gram(f: np.ndarray) -> np.ndarray:
@@ -52,7 +60,7 @@ def _gram(f: np.ndarray) -> np.ndarray:
     that hold a nonzero and scattered into a zero matrix."""
     rows = np.flatnonzero(f.any(axis=1))
     sub = f[rows]
-    out = np.zeros((len(f), len(f)), dtype=complex)
+    out = _dense_zeros(len(f))
     out[np.ix_(rows, rows)] = np.einsum("ik,jk->ij", sub, sub.conj())
     out.flags.writeable = False
     return out
@@ -99,7 +107,7 @@ class ProcessMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense W over 4**N * P rows, built on first use; read-only."""
+        """Dense W over 4**N * P <= 2048 rows, built on first use; read-only."""
         return _gram(self.factor.reshape(-1, self.factor.shape[2]))
 
     @property
@@ -209,9 +217,9 @@ class WitnessOperator:
         return self.components[0][0].N
 
     def matrix(self) -> np.ndarray:
-        """Dense form over 4**N * P rows: sum_k q_k (|U_k>><<U_k|)^T (x) |y_k><y_k|."""
+        """Dense form over 4**N * P <= 2048 rows: sum_k q_k (|U_k>><<U_k|)^T (x) |y_k><y_k|."""
         d, p = 4 ** self.N, self.P
-        out = np.zeros((d, p, d, p), dtype=complex)
+        out = _dense_zeros(d * p).reshape(d, p, d, p)
         for y in range(p):
             comps = [(o, q) for o, yk, q in self.components if yk == y]
             if comps:

@@ -1,10 +1,10 @@
 """The quantum N-switch gate and the promise-problem algorithms built on it.
 
 The switch applies the x-th ordering of N oracle gates to a target system,
-conditioned on control basis state |x>.  Two single-shot decoding algorithms
-are provided: the sign-matrix variant (conjugating the switch by H_P built
-from a +-1 sign matrix, works for any even target dimension) and the Fourier
-variant (conjugating by F_P, which needs target dimension >= P).  The
+conditioned on control basis state |x>.  One single-shot decoding algorithm
+conjugates the switch by a sign matrix's gate: H_P for +-1 entries (a qubit
+target suffices at any N) or F_P for Fourier phases (the earlier phase
+estimation, whose column y needs P | y d at target dimension d).  The
 paper's demonstration tables ship as ``chart_fixture`` oracle sets, kept here
 so that commands which only decode or attack them need not load ``oracles``.
 
@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gates import NamedGate, SignMatrix, fourier_matrix, gate_set_G
+from .gates import NamedGate, SignMatrix, gate_set_G
 from .linalg import PROBABILITY_TOL, _as_index, as_state
 
 _LABELS = "ABCDEFGH"
@@ -270,16 +270,11 @@ def apply_n_switch(control: np.ndarray, target: np.ndarray,
     return _branch_rows(all_products(oracle, perms), control, target[None]).reshape(-1)
 
 
-def _distribution(pis: np.ndarray, u_ctrl: np.ndarray, targets: np.ndarray,
-                  gamma: float = 0.0) -> np.ndarray:
-    """Control readout distributions of u_ctrl^-1 . switch . u_ctrl on
-    |0>|t>, with the post-switch control coherences scaled by 1 - gamma, for
-    products ``pis[..., P, d, d]`` and targets ``[T, d]``; shape ``[..., T, P]``."""
-    return _readout(pis, (u_ctrl[:, 0], u_ctrl.conj().T, u_ctrl.conj().T.conj()), targets, gamma)
-
-
 def _readout(pis: np.ndarray, readout: tuple, targets: np.ndarray, gamma: float) -> np.ndarray:
-    """``_distribution`` from its constants: u_ctrl[:, 0], u_ctrl^-1 and conj(u_ctrl^-1)."""
+    """Control readout distributions of u^-1 . switch . u on |0>|t>, u given by
+    ``readout`` = (u[:, 0], u^-1, conj(u^-1)) as a SignMatrix keeps it, with the
+    post-switch control coherences scaled by 1 - gamma, for products
+    ``pis[..., P, d, d]`` and targets ``[T, d]``; shape ``[..., T, P]``."""
     joint = _branch_rows(pis, readout[0], targets)
     rho = joint @ joint.conj().swapaxes(-1, -2)  # control blocks, target traced out
     if gamma != 0.0:   # times the mask (1 - gamma) + gamma * eye, entry by entry
@@ -294,18 +289,6 @@ def _overrotation(epsilon: float) -> np.ndarray:
     # exp(-i epsilon Y / 2): a real rotation by epsilon in the qubit plane
     c, s = np.cos(epsilon / 2.0), np.sin(epsilon / 2.0)
     return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _checked_target(oracle: OracleSet, perms: PermutationSet, target_state) -> np.ndarray:
-    """The target state, once the oracle fits the orderings and the target."""
-    if oracle.N != perms.N:
-        raise ValueError("oracle size does not match the permutation set")
-    target = as_state(target_state)
-    if target.size != oracle.dim:
-        raise ValueError("target dimension does not match the oracle gates")
-    if oracle.claimed_y is not None and oracle.claimed_y >= perms.P:
-        raise ValueError(f"claimed column {oracle.claimed_y} out of range for P = {perms.P}")
-    return target
 
 
 def _finish(dist: np.ndarray, claimed_y: int | None) -> RunResult:
@@ -328,26 +311,23 @@ def _finish(dist: np.ndarray, claimed_y: int | None) -> RunResult:
 def run_hadamard_algorithm(oracle: OracleSet, perms: PermutationSet, m: SignMatrix,
                            target_state: np.ndarray,
                            noise: NoiseModel | None = None) -> RunResult:
-    """Conjugate the switch by the sign-matrix gate H_P and measure the
-    control.  For a promise-satisfying oracle and no noise the distribution
-    is a point mass on the promised column."""
+    """Conjugate the switch by the sign matrix's gate (H_P for +-1 entries,
+    F_P for Fourier phases) and measure the control.  For a
+    promise-satisfying oracle and no noise the distribution is a point mass
+    on the promised column."""
     if m.P != perms.P:
         raise ValueError(f"sign matrix order {m.P} does not match P={perms.P}")
-    if oracle.dim != 2:
-        raise ValueError("the sign-matrix algorithm runs qubit targets only")
-    target = _checked_target(oracle, perms, target_state)
+    if oracle.N != perms.N:
+        raise ValueError("oracle size does not match the permutation set")
+    target = as_state(target_state)
+    if target.size != oracle.dim:
+        raise ValueError("target dimension does not match the oracle gates")
+    if oracle.claimed_y is not None and oracle.claimed_y >= perms.P:
+        raise ValueError(f"claimed column {oracle.claimed_y} out of range for P = {perms.P}")
     noise = noise or _NOISELESS
+    if noise.epsilon != 0.0 and oracle.dim != 2:
+        raise ValueError("gate overrotation acts on qubit gates only")
     dist = _readout(_products(oracle, perms, noise.epsilon), m._readout, target[None], noise.gamma)
-    return _finish(dist[0], oracle.claimed_y)
-
-
-def run_fourier_algorithm(oracle: OracleSet, perms: PermutationSet,
-                          target_state: np.ndarray) -> RunResult:
-    """Phase-estimation variant: conjugate the switch by F_P.  Decodes the
-    promised exponent when the orderings differ by powers of exp(2 pi i/P);
-    the promise itself forces target dimension >= P."""
-    target = _checked_target(oracle, perms, target_state)
-    dist = _distribution(_products(oracle, perms), fourier_matrix(perms.P), target[None])
     return _finish(dist[0], oracle.claimed_y)
 
 

@@ -24,7 +24,7 @@ from switchlab import (NoiseModel, SIGMA_STAR, all_products, ancilla_factor,
                        sylvester_hadamard, verify_classification,
                        witness_operator)
 from switchlab.fixed_order import _fidelities
-from switchlab.switch import _distribution, _ordering_products
+from switchlab.switch import _ordering_products, _readout
 
 
 def report(number: int, passed: bool, detail: str):
@@ -79,7 +79,7 @@ def test_criterion_05_noiseless_unit_success(promise_sets, m4):
     rng = np.random.default_rng(2024)
     targets = np.stack([basis_state(2, 0)] + [random_state(2, rng) for _ in range(100)])
     pis = _ordering_products(np.stack([s.matrices() for s in sets]), SIGMA_STAR.index)
-    dist = _distribution(pis, m4.as_gate(), targets)     # [set, target, outcome]
+    dist = _readout(pis, m4._readout, targets, 0.0)     # [set, target, outcome]
     columns = np.array([s.claimed_y for s in sets])
     success = dist[np.arange(len(sets)), :, columns]
     worst = float(success.min())

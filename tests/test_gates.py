@@ -64,7 +64,48 @@ def test_sign_matrix_validation():
         SignMatrix(np.array([[1, 0], [0, 1]]))
 
 
-@pytest.mark.parametrize("m", [hadamard_m4(), sylvester_hadamard(0), sylvester_hadamard(3)])
+def test_sign_matrix_rejects_an_empty_matrix():
+    # the first-row check used to raise IndexError
+    with pytest.raises(ValueError, match="square and nonempty"):
+        SignMatrix(np.zeros((0, 0)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [hadamard_m4(), sylvester_hadamard(3)])
+def test_complex_typed_signs_construct_silently_with_the_integer_gate(m):
+    # they used to print numpy's ComplexWarning: Casting complex values to real
+    c = SignMatrix(m.entries.astype(complex))
+    assert c.entries.dtype == np.int64 and np.array_equal(c.entries, m.entries)
+    for got, want in ((c.as_gate(), m.as_gate()), (c.as_gate_inverse(), m.as_gate_inverse())):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_phase_matrix_validation():
+    w = np.exp(2j * np.pi / 3)
+    for bad in ([[1, 1], [1, 1j]], [[1, 1], [1, np.nan]], [[1, 1], [1, -1.1]]):
+        with pytest.raises(ValueError, match=r"\+-1 or P-th roots of unity"):
+            SignMatrix(np.array(bad))
+    with pytest.raises(ValueError, match="orthogonal"):
+        SignMatrix(np.array([[1, 1, 1], [1, w, w], [1, w, w]]))
+    with pytest.raises(ValueError, match="first row"):
+        SignMatrix(fourier_matrix(3).entries[:, [1, 0, 2]])
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_fourier_gate_is_the_transform_bit_for_bit(p):
+    j = np.arange(p)
+    f = fourier_matrix(p)
+    assert f.as_gate().tobytes() == (np.exp(2j * np.pi * np.outer(j, j) / p) / np.sqrt(p)).tobytes()
+    # the inverse conjugates the phases; for +-1 entries it is the old transpose, bit for bit
+    assert_allclose(f.as_gate_inverse() @ f.as_gate(), np.eye(p), atol=1e-12)
+    if p in (1, 2, 4, 8):
+        m = sylvester_hadamard(p.bit_length() - 1)
+        assert m.as_gate_inverse().tobytes() == (m.entries.T.astype(complex) / np.sqrt(p)).tobytes()
+
+
+@pytest.mark.parametrize("m", [hadamard_m4(), sylvester_hadamard(0), sylvester_hadamard(3),
+                               fourier_matrix(3), fourier_matrix(4)])
 def test_sign_matrix_readout_constants_are_read_only_copies(m):
     # the decode kernel reads these in place of H[:, 0], H^-1 and conj(H^-1) per call
     h = m.as_gate()
@@ -107,7 +148,7 @@ def test_order4_matrix_is_permutation_of_sylvester():
 
 @pytest.mark.parametrize("p", [1, 2, 4, 5])
 def test_fourier_matrix_unitary(p):
-    f = fourier_matrix(p)
+    f = fourier_matrix(p).as_gate()
     assert_allclose(f @ f.conj().T, np.eye(p), atol=1e-12)
 
 
@@ -118,9 +159,10 @@ def test_matrix_orders_must_be_integers(build, arg):
     # sylvester_hadamard(2.5) raised TypeError from range
     with pytest.raises(ValueError, match=f"must be an integer, not {arg!r}"):
         build(arg)
-    assert fourier_matrix(np.int64(3)).shape == (3, 3) and sylvester_hadamard(np.int8(2)).P == 4
+    assert fourier_matrix(np.int64(3)).P == 3 and sylvester_hadamard(np.int8(2)).P == 4
 
 
 def test_fourier_small_values():
-    assert_allclose(fourier_matrix(1), [[1]])
-    assert_allclose(fourier_matrix(2), np.array([[1, 1], [1, -1]]) / np.sqrt(2), atol=1e-12)
+    assert_allclose(fourier_matrix(1).as_gate(), [[1]])
+    assert_allclose(fourier_matrix(2).as_gate(), np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+                    atol=1e-12)

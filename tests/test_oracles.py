@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from switchlab import (NoiseModel, OracleSet, PermutationSet, SIGMA_STAR, chart_fixture,
                        check_promise, enumerate_promise_sets,
-                       equivalence_classes, gate_set_G, pauli, random_state,
+                       equivalence_classes, fourier_matrix, gate_set_G, pauli, random_state,
                        run_hadamard_algorithm, sylvester_hadamard, verify_classification)
 from switchlab import oracles
 from switchlab.linalg import (CONJUGATOR_TOL, DEGENERATE, KEY_DECIMALS, PROMISE_TOL,
@@ -148,7 +148,7 @@ def test_promise_residual_bits_match_the_per_column_form(m4, promise_sets):
     cases += [(orc, perms8, m8) for orc in haar + paulis]
     for orc, perms, m in cases:
         expected = residuals_by_column(all_products(orc, perms), m.entries)
-        got = oracles._promise_residuals(all_products(orc, perms), m.entries)
+        got = oracles._promise_residuals(all_products(orc, perms), m)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
         verdict = check_promise(orc, perms, m)
         assert (verdict.satisfied, verdict.y, verdict.residual) == verdict_of(expected)
@@ -164,9 +164,29 @@ def test_promise_residual_bits_match_the_per_column_form(m4, promise_sets):
     assert np.signbit(signed.real).sum() > np.signbit(chunk.real).sum()
     for prods in (chunk, signed):
         expected = residuals_by_column(prods, m4.entries)
-        got = oracles._promise_residuals(prods, m4.entries)
+        got = oracles._promise_residuals(prods, m4)
         assert got.shape == (oracles._CHUNK, 4)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_fourier_promise_residuals_match_the_per_column_form(promise_sets):
+    # each column against its own entries times the reference: F4 keeps one
+    # copy of each distinct phase, so repeated phases may differ in the last bit
+    f4 = fourier_matrix(4)
+    _, sets = enumerate_promise_sets(gate_set_G(), SIGMA_STAR, f4)
+    rng = np.random.default_rng(19)
+    haar = [OracleSet(tuple(NamedGate(f"u{i}", random_unitary(2, rng)) for i in range(4)))
+            for _ in range(16)]
+    for k, orc in enumerate(sets + haar + promise_sets[1][::5]):
+        prods = all_products(orc, SIGMA_STAR)
+        expected = np.array([np.max(np.abs(prods - col[:, None, None] * prods[:1]))
+                             for col in f4.entries.T])
+        got = oracles._promise_residuals(prods, f4)
+        assert np.max(np.abs(got - expected)) <= 1e-15
+        verdict = check_promise(orc, SIGMA_STAR, f4)
+        assert (verdict.satisfied, verdict.y) == verdict_of(got)[:2]
+        if k < len(sets):
+            assert verdict.y == orc.claimed_y
 
 
 # ---------------------------------------------------------------------------

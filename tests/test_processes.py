@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,6 +446,23 @@ def test_process_rows_must_be_whole_readout_blocks():
     # the same row count read as three slots with a 16-outcome readout
     w16 = ProcessMatrix(np.eye(256 * 8, 3).reshape(64, 32, 3))
     assert (w16.N, w16.P) == (3, 32) and superinstrument(w16).shape == (32, 64, 64)
+
+
+def test_dense_forms_refuse_more_than_2048_rows(m4):
+    # at N = 5 each dense form would hold 4096**2 complex entries (268 MB);
+    # the refusal comes before any allocation
+    w = build_effective_process(basis_state(2, 0), m4, SIGMA_5)
+    g = uniform_witness([OracleSet(random_oracle(np.random.default_rng(8), 5).gates, claimed_y=0)])
+    tracemalloc.start()
+    try:
+        for build in (lambda: w.matrix, g.matrix):
+            with pytest.raises(ValueError, match=r"dense \(4096, 4096\) operator exceeds 2048 rows"):
+                build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert success_probability(w, g) <= 1.0   # the factored forms still evaluate
 
 
 # ---------------------------------------------------------------------------

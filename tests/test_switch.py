@@ -9,14 +9,13 @@ from numpy.testing import assert_allclose
 
 from switchlab import (NoiseModel, OracleSet, PermutationSet, RunResult, SIGMA_STAR,
                        all_products, apply_n_switch, basis_state,
-                       chart_fixture, check_promise, hadamard_m4,
-                       pauli, random_state, run_fourier_algorithm,
+                       chart_fixture, check_promise, fourier_matrix, hadamard_m4,
+                       pauli, random_state,
                        run_hadamard_algorithm, sample_shots,
                        sylvester_hadamard)
 from switchlab.gates import NamedGate
 from switchlab.linalg import random_unitary
-from switchlab.switch import (_distribution, _finish, _ordering_products, _overrotation,
-                              _products, _readout)
+from switchlab.switch import _finish, _ordering_products, _overrotation, _products, _readout
 
 
 def oracle_of(*names):
@@ -202,8 +201,8 @@ def test_memoized_decodes_equal_direct_computation(m4, promise_sets):
         mats = orc.matrices()
         if noise.epsilon != 0.0:
             mats = _overrotation(noise.epsilon) @ mats
-        dist = _distribution(_ordering_products(mats, SIGMA_STAR.index), m4.as_gate(),
-                             psi[None], noise.gamma)
+        dist = _readout(_ordering_products(mats, SIGMA_STAR.index), m4._readout,
+                        psi[None], noise.gamma)
         return _finish(dist[0], orc.claimed_y)
 
     sets = promise_sets[1]
@@ -245,7 +244,7 @@ def decode_pin_digest(sets, m4):
                 h.update(repr((res.decoded_y, res.success_probability)).encode())
     for orc in sets[::46] + haar[:4]:
         for psi in targets[:2]:
-            res = run_fourier_algorithm(orc, SIGMA_STAR, psi)
+            res = run_hadamard_algorithm(orc, SIGMA_STAR, fourier_matrix(4), psi)
             h.update(res.outcome_distribution.tobytes())
             h.update(repr((res.decoded_y, res.success_probability)).encode())
             h.update(sample_shots(res, 6000, 7).tobytes())
@@ -416,8 +415,8 @@ def test_claimed_column_must_index_an_outcome(m4):
         run_hadamard_algorithm(orc, SIGMA_STAR, m4, basis_state(2, 0))
     perms = PermutationSet.from_strings(["AB", "BA"])
     with pytest.raises(ValueError, match="claimed column 2 out of range for P = 2"):
-        run_fourier_algorithm(OracleSet((pauli("Z"), pauli("X")), claimed_y=2), perms,
-                              basis_state(2, 0))
+        run_hadamard_algorithm(OracleSet((pauli("Z"), pauli("X")), claimed_y=2), perms,
+                               fourier_matrix(2), basis_state(2, 0))
 
 
 def test_decode_input_checks(m4):
@@ -426,13 +425,18 @@ def test_decode_input_checks(m4):
         run_hadamard_algorithm(oracle_of("Z", "X", "Z"), SIGMA_STAR, m4, basis_state(2, 0))
     with pytest.raises(ValueError, match="target dimension"):
         run_hadamard_algorithm(orc, SIGMA_STAR, m4, basis_state(3, 0))
-    qutrits = OracleSet(tuple(NamedGate(f"T{i}", np.eye(3)) for i in range(4)))
-    with pytest.raises(ValueError, match="qubit targets only"):
-        run_hadamard_algorithm(qutrits, SIGMA_STAR, m4, basis_state(3, 0))
+    f4 = fourier_matrix(4)
     with pytest.raises(ValueError, match="oracle size"):
-        run_fourier_algorithm(oracle_of("Z", "X", "Z"), SIGMA_STAR, basis_state(2, 0))
+        run_hadamard_algorithm(oracle_of("Z", "X", "Z"), SIGMA_STAR, f4, basis_state(2, 0))
     with pytest.raises(ValueError, match="target dimension"):
-        run_fourier_algorithm(orc, SIGMA_STAR, basis_state(4, 0))
+        run_hadamard_algorithm(orc, SIGMA_STAR, f4, basis_state(4, 0))
+    # decoding is defined at any target dimension; the tilt is a qubit rotation
+    qutrits = OracleSet(tuple(NamedGate(f"T{i}", np.eye(3)) for i in range(4)), claimed_y=0)
+    for m in (m4, f4):
+        res = run_hadamard_algorithm(qutrits, SIGMA_STAR, m, basis_state(3, 0))
+        assert res.decoded_y == 0 and abs(res.success_probability - 1.0) < 1e-12
+        with pytest.raises(ValueError, match="overrotation acts on qubit gates only"):
+            run_hadamard_algorithm(qutrits, SIGMA_STAR, m, basis_state(3, 0), NoiseModel(0.0, 0.1))
 
 
 def test_success_probability_requires_claimed_column(m4):
@@ -480,13 +484,13 @@ def test_finish_rejects_what_the_public_constructor_rejects(raw, message):
 
 
 # ---------------------------------------------------------------------------
-# Fourier variant
+# Fourier sign matrices
 # ---------------------------------------------------------------------------
 
 def test_fourier_anticommuting_pair():
     perms = PermutationSet.from_strings(["AB", "BA"])
     orc = OracleSet((pauli("Z"), pauli("X")))
-    res = run_fourier_algorithm(orc, perms, basis_state(2, 0))
+    res = run_hadamard_algorithm(orc, perms, fourier_matrix(2), basis_state(2, 0))
     assert res.decoded_y == 1
     assert abs(res.outcome_distribution[1] - 1.0) < 1e-12
 
@@ -495,7 +499,7 @@ def test_fourier_identity_and_commuting():
     perms = PermutationSet.from_strings(["AB", "BA"])
     for names in (("1", "1"), ("Z", "Z")):
         orc = OracleSet(tuple(pauli(n) for n in names))
-        res = run_fourier_algorithm(orc, perms, basis_state(2, 0))
+        res = run_hadamard_algorithm(orc, perms, fourier_matrix(2), basis_state(2, 0))
         assert res.decoded_y == 0
 
 
@@ -509,7 +513,7 @@ def test_fourier_agrees_with_sign_variant_for_two_orderings():
                          NamedGate("U1", random_unitary(2, rng))))
         psi = random_state(2, rng)
         a = run_hadamard_algorithm(orc, perms, m2, psi)
-        b = run_fourier_algorithm(orc, perms, psi)
+        b = run_hadamard_algorithm(orc, perms, fourier_matrix(2), psi)
         assert_allclose(a.outcome_distribution, b.outcome_distribution, atol=1e-10)
 
 
@@ -550,6 +554,7 @@ DECODE_SETUPS = [
     (SIGMA_STAR, hadamard_m4()),
     (PermutationSet.from_strings(["ABC", "CAB"]), sylvester_hadamard(1)),
     (PermutationSet.from_strings(["ABCD"]), sylvester_hadamard(0)),
+    (SIGMA_STAR, fourier_matrix(4)),
 ]
 
 
@@ -565,7 +570,7 @@ def test_decode_matches_rank4_reference(setup, seed, gamma, epsilon):
     tilted = _overrotation(epsilon) @ orc.matrices()
     pis = fold_products(tilted, perms.sigma)
     expected = reference_dephased(pis, h, psi, gamma)
-    assert_allclose(_distribution(pis, h, psi[None], gamma)[0], expected, atol=1e-12)
+    assert_allclose(_readout(pis, m._readout, psi[None], gamma)[0], expected, atol=1e-12)
     res = run_hadamard_algorithm(orc, perms, m, psi, NoiseModel(gamma, epsilon))
     assert_allclose(res.outcome_distribution, expected, atol=1e-12)
 
@@ -608,14 +613,14 @@ def test_fourier_decode_depends_on_the_target():
     rng = np.random.default_rng(5)
     for _ in range(5):
         orc = OracleSet(tuple(NamedGate(f"U{i}", random_unitary(3, rng)) for i in range(3)))
-        a, b = (run_fourier_algorithm(orc, perms, random_state(3, rng)).outcome_distribution
-                for _ in range(2))
+        a, b = (run_hadamard_algorithm(orc, perms, fourier_matrix(3), random_state(3, rng))
+                .outcome_distribution for _ in range(2))
         assert np.max(np.abs(a - b)) > 1e-3
 
 
 @settings(max_examples=40, deadline=None)
-@given(setup=st.sampled_from(DECODE_SETUPS[:2]), seed=st.integers(0, 2**32 - 1),
-       n_sets=st.integers(1, 5), n_targets=st.integers(1, 4),
+@given(setup=st.sampled_from(DECODE_SETUPS[:2] + DECODE_SETUPS[3:]),
+       seed=st.integers(0, 2**32 - 1), n_sets=st.integers(1, 5), n_targets=st.integers(1, 4),
        gamma=st.floats(0.0, 1.0), epsilon=st.floats(-0.5, 0.5))
 def test_batched_decode_equals_scalar_calls(setup, seed, n_sets, n_targets, gamma, epsilon):
     perms, m = setup
@@ -623,7 +628,7 @@ def test_batched_decode_equals_scalar_calls(setup, seed, n_sets, n_targets, gamm
     oracles = [haar_oracle(perms.N, rng) for _ in range(n_sets)]
     targets = np.stack([random_state(2, rng) for _ in range(n_targets)])
     mats = _overrotation(epsilon) @ np.stack([o.matrices() for o in oracles])
-    batch = _distribution(_ordering_products(mats, perms.index), m.as_gate(), targets, gamma)
+    batch = _readout(_ordering_products(mats, perms.index), m._readout, targets, gamma)
     assert batch.shape == (n_sets, n_targets, perms.P)
     noise = NoiseModel(gamma, epsilon)
     for orc, rows in zip(oracles, batch):
