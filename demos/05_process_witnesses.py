@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from switchlab import (SIGMA_STAR, basis_state, build_effective_process,
+from switchlab import (SIGMA_STAR, ProcessMatrix, basis_state, build_effective_process,
                        chart_fixture, definite_order_process,
                        enumerate_promise_sets, gate_set_G, hadamard_m4,
                        success_probability, superinstrument, uniform_witness,
@@ -20,8 +20,8 @@ from switchlab import (SIGMA_STAR, basis_state, build_effective_process,
 
 m4 = hadamard_m4()
 process = build_effective_process(basis_state(2, 0), m4)
-print(f"effective process: {process.matrix.shape[0]}x{process.matrix.shape[1]}, "
-      f"trace {process.trace:.1f}")
+rows = len(process.factor) * process.P   # W = A A^dagger over (parties, c), kept as A
+print(f"effective process: {rows}x{rows}, trace {process.trace:.1f}")
 
 print("\n-- every promise-satisfying set scores exactly 1 --")
 census, sets = enumerate_promise_sets(gate_set_G(), SIGMA_STAR, m4)
@@ -41,15 +41,15 @@ print("block traces:", [round(float(np.trace(p).real), 3) for p in si],
       "-> sum", round(float(sum(np.trace(p).real for p in si)), 3))
 
 print("\n-- checking the decomposition constraints of classical order control --")
-zero = np.zeros((1024, 1024), dtype=complex)
+# every part goes in as its factor: the verifier never builds a dense matrix
+zero = ProcessMatrix(np.zeros((256, 4, 1)))
 parts = {key: zero for key in itertools.permutations("ABCD")}
-parts[("A", "B", "C", "D")] = definite_order_process(
-    "ABCD", basis_state(2, 0), answer_y=0).matrix
+parts[("A", "B", "C", "D")] = definite_order_process("ABCD", basis_state(2, 0), answer_y=0)
 report = verify_ccgo_decomposition(parts)
 print(f"definite-order comb: {len(report.checks)} constraints, "
       f"passed = {report.passed}, trace = {report.trace:.1f}")
 
-parts[("A", "B", "C", "D")] = process.matrix
+parts[("A", "B", "C", "D")] = process
 report = verify_ccgo_decomposition(parts)
 print(f"controlled-ordering process in one slot: passed = {report.passed}")
 print("first violated constraints:",

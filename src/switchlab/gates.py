@@ -95,10 +95,10 @@ class SignMatrix:
             raise ValueError("first row and column must be all +1")
         gate = e.astype(complex) / np.sqrt(p)
         readout = (gate[:, 0], gate.conj().T, gate.conj().T.conj())   # switch._readout's constants
-        # for oracles._promise_residuals: K distinct entries, lookup[x, y] = x K + index of e[x, y]
+        # oracles._promise_residuals: K distinct entries, lookup[x-1, y] = (x-1) K + e[x, y]'s index
         _, first, which = np.unique(keys, return_index=True, return_inverse=True)
         distinct = e.reshape(-1)[first].astype(complex)
-        lookup = np.arange(p)[:, None] * len(first) + which.reshape(p, p)
+        lookup = np.arange(p - 1)[:, None] * len(first) + which.reshape(p, p)[1:]
         for a in (e, gate, *readout, distinct, lookup):
             a.flags.writeable = False
         self.__dict__.update(entries=e, _gate=gate, _readout=readout, _distinct=distinct,

@@ -32,7 +32,7 @@ KEY_DECIMALS = 8            # float noise never splits a rounded key; every merg
 DEGENERATE = 1e-6           # shorter vectors span no frame axis; |q0| below it marks a half turn
 PROBABILITY_TOL = 1e-9      # outcome distributions and witness weights: negativity, sum to 1
 WITNESS_RANGE_TOL = 1e-8    # a witness value may leave [0, 1] by this before it is an error
-CCGO_TOL = 1e-9             # CCGO verifier residuals, and the Cholesky shift of its PSD check
+CCGO_TOL = 1e-9             # CCGO verifier residuals: PSD defects and identity-on-output distances
 CCGO_TRACE_RTOL = 1e-8      # relative slack of the parts' total trace against 2**N
 EXACT_TEST_TOL = 1e-9       # attack tests are deterministic and fixtures match exactly
 FIDELITY_FLOOR = 1e-10      # the fixed-order circuit reproduces the switch to 1 - this

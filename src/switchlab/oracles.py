@@ -37,10 +37,11 @@ def _promise_residuals(prods: np.ndarray, m: SignMatrix) -> np.ndarray:
     """Worst deviation of the ordering products ``prods[..., P, d, d]`` from
     ``m.entries[x, y]`` times the reference product, per column y: shape
     ``[..., Y]``.  Each ordering's distance to each distinct entry times the
-    reference (two for +-1 entries) is taken once."""
+    reference (two for +-1 entries) is taken once; the reference's own row,
+    all 1 at distance 0, is skipped, so with P = 1 every residual is 0.0."""
     ref = prods[..., :1, None, :, :]
-    dist = np.max(np.abs(prods[..., None, :, :] - m._distinct[:, None, None] * ref), axis=(-2, -1))
-    return np.max(dist.reshape(*dist.shape[:-2], -1)[..., m._lookup], axis=-2)
+    dist = np.abs(prods[..., 1:, None, :, :] - m._distinct[:, None, None] * ref).max(axis=(-2, -1))
+    return np.max(dist.reshape(*dist.shape[:-2], -1)[..., m._lookup], axis=-2, initial=0.0)
 
 
 @dataclass(frozen=True)

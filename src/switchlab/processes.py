@@ -14,10 +14,9 @@ factor A with W = A A^dagger: positivity holds by construction, and witness
 values and superinstrument blocks are computed from the rows of A.  The
 dense W is built only on request, on the rows where A holds a nonzero and
 without BLAS: a rank <= 2 product gains nothing from BLAS threads, which
-would then spin idle.  The decomposition verifier takes dense
-parts (they may come from anywhere), reads each once for its support, checks
-positivity and takes the readout trace on the support block, and rejects a
-part with a non-finite entry.
+would then spin idle.  The decomposition verifier runs on factor pairs, so
+it never makes a ProcessMatrix part dense and runs at any N; a dense part
+(it may come from anywhere) is read once, for its support.
 
 N is read from the inputs.  One layout (asserted by tests), slowest first:
 
@@ -64,19 +63,6 @@ def _gram(f: np.ndarray) -> np.ndarray:
     out[np.ix_(rows, rows)] = np.einsum("ik,jk->ij", sub, sub.conj())
     out.flags.writeable = False
     return out
-
-
-def _psd_violation(mat: np.ndarray) -> float:
-    """Larger of the Hermitian residual max|mat - mat^dagger| and the
-    eigenvalue defect of the Hermitian part, taken as 0.0 when a Cholesky of
-    that part shifted by CCGO_TOL certifies it PSD within CCGO_TOL."""
-    herm_res = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
-    h = (mat + mat.conj().T) / 2
-    try:
-        np.linalg.cholesky(h + CCGO_TOL * np.eye(h.shape[0]))
-        return herm_res
-    except np.linalg.LinAlgError:
-        return max(herm_res, -float(np.linalg.eigvalsh(h).min()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,23 +285,6 @@ class CcgoReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _identity_residual(t: np.ndarray, i: int, rows: np.ndarray | None = None) -> float:
-    """Max-norm distance of the operator tensor ``t`` (n row qubit axes, then
-    n column qubit axes) from (Tr_i t)/2 (x) 1 on qubit i, read only on ``rows``
-    (default all; it must hold every nonzero row and column) closed under flipping i."""
-    n = t.ndim // 2
-    if rows is not None:   # the kept block as (qubit i, other qubits) on each side
-        flip = 1 << (n - 1 - i)
-        zero = np.unique(rows & ~flip)
-        keep = np.concatenate([zero, zero | flip])
-        block = t.reshape(2 ** n, 2 ** n)[np.ix_(keep, keep)]
-        t, i, n = block.reshape(2, len(zero), 2, len(zero)), 0, 2
-    t = np.moveaxis(t, [i, n + i], [0, 1])
-    r = (t[0, 0] + t[1, 1]) / 2
-    return float(np.max([np.abs(t[0, 0] - r).max(initial=0.0), np.abs(t[1, 1] - r).max(initial=0.0),
-                         np.abs(t[0, 1]).max(initial=0.0), np.abs(t[1, 0]).max(initial=0.0)]))
-
-
 def _support(mat: np.ndarray) -> np.ndarray:
     """Indices whose row or column of ``mat`` holds a nonzero, read in blocks of 64 rows."""
     flat = np.ascontiguousarray(mat).view(np.float64)  # real and imaginary parts side by side
@@ -327,70 +296,99 @@ def _support(mat: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(rows) | cols.reshape(-1, 2).any(axis=1))
 
 
+# The verifier runs on pairs (rows, ab) standing for a b^dagger, where (a, b) = ab
+# has shape (2, len(rows), k) and ``rows`` sorts the only rows where a or b is
+# nonzero: (A, A) for a ProcessMatrix of factor A, and for a dense part its
+# support columns and a selector of its support rows.
+
+def _slot_step(pairs, below: int):
+    """For t the sum of the operators of ``pairs`` (their columns side by side
+    in a and b) and the qubit O of place value ``below``: max|t - (Tr_O t)/2
+    (x) 1_O| = max(|a0 b0^dagger - a1 b1^dagger|/2, |a0 b1^dagger|, |a1 b0^dagger|)
+    with a_x the rows of a at O = x, and t's pair with O and the next slower
+    qubit I traced: row (high, I, O, low) becomes row (high, low)."""
+    rows = np.concatenate([r for r, _ in pairs])
+    digit = rows // below % 4
+    kept, at = np.unique(rows // (4 * below) * below + rows % below, return_inverse=True)
+    ends = np.cumsum([(len(r), ab.shape[2]) for r, ab in pairs], axis=0)
+    wide = np.zeros((2, len(kept), 2, 2, ends[-1, 1]), dtype=complex)
+    for (r, ab), (r1, c1) in zip(pairs, ends):
+        i = slice(r1 - len(r), r1)
+        wide[:, at[i], digit[i] % 2, digit[i] // 2, c1 - ab.shape[2]:c1] = ab
+    # four products, not one of twice the rows: on four-slot combs each stays
+    # below OpenBLAS's threading size, so no worker wakes to spin after it
+    (a0, a1), (b0, b1) = (w.swapaxes(0, 1).reshape(2, 2 * len(kept), ends[-1, 1]) for w in wide)
+    b0, b1 = b0.conj().T, b1.conj().T
+    res = max(np.abs(a0 @ b0 - a1 @ b1).max(initial=0.0) / 2,
+              np.abs(a0 @ b1).max(initial=0.0), np.abs(a1 @ b0).max(initial=0.0))
+    ab = wide.reshape(2, len(kept), 4 * ends[-1, 1])
+    if ab.shape[2] > len(kept):   # thinned to (a b^dagger, 1)
+        ab = np.array([ab[0] @ ab[1].conj().T, np.eye(len(kept))])
+    return float(res), (kept, ab)
+
+
 def verify_ccgo_decomposition(parts) -> CcgoReport:
-    """Check a candidate decomposition {ordering -> matrix over (parties, c)}
-    whose keys are the N! orderings of the first N labels.
+    """Check a candidate decomposition {ordering -> part over (parties, c)}
+    whose keys are the N! orderings of the first N labels; a part is a
+    :class:`ProcessMatrix` (PSD by construction) or a dense matrix, read once
+    for its support (indices whose row or column holds a nonzero).
 
     Requirements checked, one named entry each: every part positive
     semidefinite; each readout-traced part is identity on its last slot's
     output; tracing that slot and summing over it leaves identity on the
-    previous slot's output, down to the first slot.
-    Each part is read once, for its support (indices whose row or column
-    holds a nonzero); the rest uses the support block.  Non-finite parts raise.
+    previous slot's output, down to the first slot.  Non-finite parts raise.
     """
     keys = {tuple(k) for k in parts.keys()}
     n = max(map(len, keys), default=1)
     orderings = list(itertools.permutations(_LABELS[:n]))
     if keys != set(orderings):
         raise ValueError(f"need exactly the {len(orderings)} orderings of {_LABELS[:n]} as keys")
-    d = (np.shape(parts[orderings[0]]) or (0,))[0]
+    shapes = {key: (len(w.factor) * w.P,) * 2 if isinstance(w, ProcessMatrix) else np.shape(w)
+              for key, w in parts.items()}
+    d = (shapes[orderings[0]] or (0,))[0]
     p = d // 4 ** n
     if p == 0 or d % 4 ** n:
         raise ValueError(f"part dimension {d} is not 4**{n} party rows times a readout")
-    psd_checks, checks, traces = [], [], []
-
-    def readout_traced():  # (2,)*4N tensors and support rows in sorted order, psd-checked as read
-        for key in orderings:
-            mat = np.asarray(parts[key], dtype=complex)
-            if mat.shape != (d, d):
-                raise ValueError(f"part {key} has shape {mat.shape}, expected {(d, d)}")
-            traces.append(float(np.trace(mat).real))
-            # Outside the support both mat and mat^dagger vanish, so the
-            # Hermitian residual, PSD defect and readout trace of the support
-            # block are those of the part, and it holds every non-finite entry.
+    checks, level, total_trace = [], [], 0.0
+    for key in orderings:   # each part to its PSD check and its readout-traced pair
+        part, name, res = parts[key], "".join(key), 0.0
+        if shapes[key] != (d, d):
+            raise ValueError(f"part {key} has shape {shapes[key]}, expected {(d, d)}")
+        if isinstance(part, ProcessMatrix):
+            f = part.factor.reshape(4 ** n, -1)   # the readout moved into the columns
+            rows = np.flatnonzero(f.any(axis=1))
+            total_trace += part.trace
+            ab = np.array([f[rows]] * 2)
+        else:
+            mat = np.asarray(part, dtype=complex)
+            total_trace += float(np.trace(mat).real)
+            # outside the support both mat and mat^dagger vanish, so the support
+            # block has the part's PSD residual and every non-finite entry
             support = _support(mat)
             sub = mat if support.size == d else mat[np.ix_(support, support)]
             if not np.isfinite(sub).all():
-                raise ValueError(f"part {''.join(key)} has non-finite entries")
-            res = _psd_violation(sub)
-            psd_checks.append(ConstraintCheck(f"psd[{''.join(key)}]", res <= CCGO_TOL, res))
-            # entry pairs sharing c, added in increasing c as a trace over c adds them
-            a, b = np.nonzero(support[:, None] % p == support % p)
-            traced = np.zeros((4 ** n, 4 ** n), dtype=complex)
-            np.add.at(traced, (support[a] // p, support[b] // p), sub[a, b])
-            yield key, traced.reshape((2,) * (4 * n)), support // p
+                raise ValueError(f"part {name} has non-finite entries")
+            res = max(float(np.max(np.abs(sub - sub.conj().T), initial=0.0)),
+                      -float(np.linalg.eigvalsh((sub + sub.conj().T) / 2).min(initial=0.0)))
+            # block entry (i, j) goes to party row i // p when i and j share c
+            rows, at = np.unique(support // p, return_inverse=True)
+            i, j = np.nonzero(support[:, None] % p == support % p)
+            ab = np.zeros((2, len(rows), support.size), dtype=complex)
+            ab[0, at[i], j], ab[1, at, np.arange(support.size)] = sub[i, j], 1
+        checks.append(ConstraintCheck(f"psd[{name}]", res <= CCGO_TOL, res))
+        level.append((key, [(rows, ab)]))
 
-    # prefix lengths N -> 1: each reduced part must be identity on the output
-    # of its prefix's last slot; tracing that slot out and summing over the
-    # completions of each shorter prefix gives the next level's parts; parts
-    # are read one at a time, so only (N-1)-slot tensors accumulate
-    level = readout_traced()
+    # prefix lengths N -> 1: each reduced part is identity on its last slot's output;
+    # tracing that slot and summing over completions gives the next level's parts
     for _ in range(n):
-        shorter: dict[tuple, np.ndarray] = {}
-        for prefix, t, rows in level:
-            last = prefix[-1]
-            k = t.ndim // 2
-            i = 2 * sorted(prefix).index(last)  # axis of last_I; last_O is next
-            res = _identity_residual(t, i + 1, rows)
+        shorter: dict[tuple, list] = {}
+        for prefix, pairs in level:
+            last = prefix[-1]   # last_O has place value 4**(slots after it in sorted order)
+            res, traced = _slot_step(pairs, 4 ** (len(prefix) - 1 - sorted(prefix).index(last)))
             checks.append(ConstraintCheck(f"reduced[{''.join(prefix)}] = ~W (x) 1[{last}_O]",
                                           res <= CCGO_TOL, res))
-            # the slot's two qubits as one axis of dimension 4, traced at once
-            side = (2 ** i, 4, 2 ** (k - i - 2))
-            tr = np.trace(t.reshape(side + side), axis1=1, axis2=4).reshape((2,) * (2 * k - 4))
-            head = prefix[:-1]
-            shorter[head] = shorter[head] + tr if head in shorter else tr
-        level = [(head, t, None) for head, t in sorted(shorter.items())]
+            shorter.setdefault(prefix[:-1], []).append(traced)
+        level = sorted(shorter.items())
 
-    total_trace = sum(traces)
     normalized = abs(total_trace - 2 ** n) <= CCGO_TRACE_RTOL * 2 ** n
-    return CcgoReport(tuple(psd_checks + checks), total_trace, normalized)
+    return CcgoReport(tuple(checks), total_trace, normalized)

@@ -228,6 +228,7 @@ def quartet_census(n_labels: int = 4, collect: int | None = None) -> QuartetCens
     searched, in batches of ``_CHUNK``.  ``collect`` optionally gathers the
     quartets of one specific length, in quartet order."""
     n_labels = _as_index(n_labels, "n_labels")
+    collect = None if collect is None else _as_index(collect, "collect")
     if not 1 <= n_labels <= 5:
         raise ValueError(f"n_labels must be between 1 and 5, got {n_labels}")
     perms = np.array(list(itertools.permutations(range(n_labels))))

@@ -14,8 +14,9 @@ from switchlab import (NoiseModel, OracleSet, PermutationSet, SIGMA_STAR, chart_
 from switchlab import oracles
 from switchlab.linalg import (CONJUGATOR_TOL, DEGENERATE, KEY_DECIMALS, PROMISE_TOL,
                               InvariantViolation, random_unitary)
-from switchlab.oracles import (_TAU, _certificates, _first_long, _gate_words, _word_products,
-                               bloch_rotation)
+from switchlab.gates import SignMatrix
+from switchlab.oracles import (PromiseVerdict, _TAU, _certificates, _first_long, _gate_words,
+                               _word_products, bloch_rotation)
 from switchlab.switch import NamedGate, _ordering_products, all_products
 
 
@@ -167,6 +168,20 @@ def test_promise_residual_bits_match_the_per_column_form(m4, promise_sets):
         got = oracles._promise_residuals(prods, m4)
         assert got.shape == (oracles._CHUNK, 4)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_single_ordering_promise_holds_for_every_assignment():
+    # P = 1: only the reference ordering, so no distance is measured and every
+    # assignment satisfies column 0 at residual 0.0
+    one = SignMatrix(np.ones((1, 1), dtype=int))
+    perms = PermutationSet.from_strings(["ABCD"])
+    census, sets = enumerate_promise_sets(gate_set_G(), perms, one)
+    assert census.per_column == (10_000,) and len(sets) == 10_000
+    assert {s.claimed_y for s in sets} == {0}
+    for orc in sets[::97]:
+        assert check_promise(orc, perms, one) == PromiseVerdict(True, 0, 0.0)
+    prods = all_products(sets[1234], perms)
+    assert oracles._promise_residuals(prods, one).tolist() == [0.0]
 
 
 def test_fourier_promise_residuals_match_the_per_column_form(promise_sets):

@@ -19,7 +19,7 @@ from switchlab import (OracleSet, PermutationSet, SIGMA_STAR, all_products, basi
                        verify_ccgo_decomposition, witness_operator)
 from switchlab.gates import NamedGate
 from switchlab.linalg import random_unitary
-from switchlab.processes import ProcessMatrix, WitnessOperator, _identity_residual
+from switchlab.processes import ProcessMatrix, WitnessOperator, _slot_step
 
 LINK = np.array([1, 0, 0, 1], dtype=complex)
 # three slots: the cyclic orderings plus one transposition, 136 promise sets
@@ -733,12 +733,13 @@ def _report_digest(report):
     return h.hexdigest()
 
 
-# Reports of the whole-part verifier (a mask and np.trace over each dense
-# part), which the support-block verifier must reproduce bit for bit.  The
-# comb entries come from a BLAS product and the defects from LAPACK, so
-# another numpy build may need the digests captured again from that code.
-COMBS_DIGEST = "012b2b1e48d7c01a35eb1baccef2d6a40d700f296257bf1c0c24485a994d992d"
-MIXED_DIGEST = "c51e41dd070b798914722741e6f4678792b91ea65ecb311eb14537ad322794c6"
+# Reports of the pair verifier, which the same values in every layout must
+# reproduce bit for bit.  The PSD defects come from LAPACK, so another numpy
+# build may need the digests captured again from that code.  The mixed parts'
+# defects come from eigvalsh on 1024 rows, whose last bits differ between one
+# BLAS thread and several; MIXED_DIGEST holds the multithreaded bits.
+COMBS_DIGEST = "03c050558710366b5c24ffe376b3f8474a755ab76a433033c505a889e5c2b82b"
+MIXED_DIGEST = "117f57e65f330f5f6c1fbdfb17b41cdf2fa60e718fe08af600d47603a5e651cb"
 
 
 def _negative_zeros(m):
@@ -775,18 +776,37 @@ def test_verifier_report_is_pinned_bit_for_bit():
 
 
 def test_support_row_residual_is_bit_identical_on_every_qubit():
-    # the level-4 check reads only the support rows, closed under the qubit's
-    # flips; every other row and column is zero, so the max must not move
+    # a readout-traced comb as a pair on its nonzero rows gives the residual
+    # of the same pair on all 256 rows bit for bit, on every qubit: the other
+    # rows are zero and add no term
     nonzero = 0
     for mat in list(_weighted_combs(15).values()) + [np.zeros((1024, 1024), dtype=complex)]:
-        rows = np.flatnonzero(np.abs(mat).sum(axis=0) + np.abs(mat).sum(axis=1)) // 4
-        t = np.trace(mat.reshape(256, 4, 256, 4), axis1=1, axis2=3).reshape((2,) * 16)
+        t = np.trace(mat.reshape(256, 4, 256, 4), axis1=1, axis2=3)
+        rows = np.flatnonzero(np.abs(t).sum(axis=0) + np.abs(t).sum(axis=1))
+        ab = np.array([t[:, rows], np.eye(256)[:, rows]])   # t = a b^dagger
         for qubit in range(8):
-            full = _identity_residual(t, qubit)
-            assert _identity_residual(t, qubit, rows).hex() == full.hex()
+            full, _ = _slot_step([(np.arange(256), ab)], 2 ** qubit)
+            assert _slot_step([(rows, ab[:, rows])], 2 ** qubit)[0].hex() == full.hex()
             nonzero += full > 0
     assert nonzero > 0
-    assert _identity_residual(np.zeros((2,) * 16), 1, np.array([], dtype=int)) == 0.0
+    assert _slot_step([(np.array([], dtype=int), np.zeros((2, 0, 0)))], 4)[0] == 0.0
+
+
+def test_factor_and_dense_parts_give_the_same_report():
+    weights, combs = _combs(15)
+    dense = verify_ccgo_decomposition({key: w * combs[key].matrix
+                                       for key, w in zip(ORDERINGS, weights)})
+    factors = {key: ProcessMatrix(w ** 0.5 * combs[key].factor)
+               for key, w in zip(ORDERINGS, weights)}
+    both = dict(factors)   # every other part dense
+    for key, w in zip(ORDERINGS[::2], weights[::2]):
+        both[key] = w * combs[key].matrix
+    for report in (verify_ccgo_decomposition(factors), verify_ccgo_decomposition(both)):
+        assert [(c.name, c.passed) for c in report.checks] == \
+            [(c.name, c.passed) for c in dense.checks]
+        assert max(abs(c.residual - r.residual)
+                   for c, r in zip(report.checks, dense.checks)) <= 1e-15
+        assert abs(report.trace - dense.trace) <= 1e-15 * 16 and report.normalized
 
 
 def test_verifier_reads_real_parts_as_complex():
@@ -837,40 +857,46 @@ def _dense_identity_residual(mat, labels, out):
 @given(count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_verifier_level_residuals_match_dense_reference(count, seed):
     rng = np.random.default_rng(seed)
-    for slots in ("ABC", "ABCD"):
+    for slots in ("ABC", "ABCD", "ABCDE"):
         _check_level_residuals(slots, count, rng)
 
 
 def _check_level_residuals(slots, count, rng):
     """Random rank-3 PSD parts on ``count`` orderings of ``slots``, zero parts
-    elsewhere: every level residual within 1e-12 of a dense reference."""
+    elsewhere, as factors and (up to four slots) dense: every level residual
+    within 1e-12 of a dense reference built on the readout-traced parts."""
     orderings = list(itertools.permutations(slots))
-    parts = _zero_parts(slots)
-    q, d = 2 * len(slots), 4 ** len(slots) * 4
+    rows = 4 ** len(slots)
+    factors = {}
     for idx in rng.choice(len(orderings), size=count, replace=False):
-        a = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+        a = rng.normal(size=(rows * 4, 3)) + 1j * rng.normal(size=(rows * 4, 3))
         a /= np.linalg.norm(a)
-        parts[orderings[idx]] = (a * rng.uniform(0.1, 1.0, size=3)) @ a.conj().T
+        factors[orderings[idx]] = (a * rng.uniform(0.1, 1.0, size=3) ** 0.5).reshape(rows, 4, 3)
 
-    # readout traced on the [2]*2N + [4] layout: axis 2N is c on both sides
-    reduced = {key: np.einsum(mat.reshape([2] * q + [4] + [2] * q + [4]),
-                              list(range(q + 1)) + list(range(q + 1, 2 * q + 1)) + [q],
-                              list(range(q)) + list(range(q + 1, 2 * q + 1))).reshape(d // 4, d // 4)
-               for key, mat in parts.items()}
+    # readout traced: the sum over c of F_c F_c^dagger; zero parts stay out
+    reduced = {key: np.einsum("ick,jck->ij", f, f.conj()) for key, f in factors.items()}
     expected = {}
-    for _ in range(len(slots)):
+    for level in range(len(slots), 0, -1):
         shorter = {}
-        for prefix in sorted(reduced):
+        for prefix in itertools.permutations(slots, level):
             last = prefix[-1]
-            labels = [f"{s}_{io}" for s in sorted(prefix) for io in "IO"]
             name = f"reduced[{''.join(prefix)}] = ~W (x) 1[{last}_O]"
-            expected[name] = _dense_identity_residual(reduced[prefix], labels, f"{last}_O")
-            tr, _ = _dense_partial_trace(reduced[prefix], labels, {f"{last}_I", f"{last}_O"})
-            shorter[prefix[:-1]] = shorter.get(prefix[:-1], 0) + tr
+            expected[name] = 0.0
+            if prefix in reduced:
+                labels = [f"{s}_{io}" for s in sorted(prefix) for io in "IO"]
+                expected[name] = _dense_identity_residual(reduced[prefix], labels, f"{last}_O")
+                tr, _ = _dense_partial_trace(reduced[prefix], labels, {f"{last}_I", f"{last}_O"})
+                shorter[prefix[:-1]] = shorter.get(prefix[:-1], 0) + tr
         reduced = shorter
 
-    report = verify_ccgo_decomposition(parts)
-    got = {c.name: c.residual for c in report.checks if c.name.startswith("reduced")}
-    assert list(got) == list(expected)
-    for name, value in expected.items():
-        assert abs(got[name] - value) <= 1e-12, name
+    zero = ProcessMatrix(np.zeros((rows, 4, 1)))
+    forms = [{key: ProcessMatrix(factors[key]) if key in factors else zero for key in orderings}]
+    if len(slots) <= 4:   # a dense five-slot part would take 4096 rows
+        flat = {key: f.reshape(rows * 4, 3) for key, f in factors.items()}
+        forms.append({**_zero_parts(slots), **{key: f @ f.conj().T for key, f in flat.items()}})
+    for parts in forms:
+        report = verify_ccgo_decomposition(parts)
+        got = {c.name: c.residual for c in report.checks if c.name.startswith("reduced")}
+        assert list(got) == list(expected)
+        for name, value in expected.items():
+            assert abs(got[name] - value) <= 1e-12, name

@@ -289,6 +289,14 @@ def test_quartet_census_label_count_must_be_an_integer():
     assert quartet_census(n_labels=np.int64(3)).histogram == {5: 6, 6: 4}
 
 
+def test_quartet_census_collected_length_must_be_an_integer():
+    # "x" and 7.5 matched no length and returned an empty ``collected``
+    for bad in ("x", 7.5, "9"):
+        with pytest.raises(ValueError, match=f"collect must be an integer, not {bad!r}"):
+            quartet_census(n_labels=3, collect=bad)
+    assert len(quartet_census(n_labels=3, collect=np.int64(6)).collected) == 4
+
+
 def test_quartet_census_small_label_counts():
     assert quartet_census(n_labels=1).total == 0
     assert quartet_census(n_labels=3).histogram == {5: 6, 6: 4}
