@@ -114,10 +114,14 @@ def _wire_states(circuit: FixedOrderCircuit, mats: np.ndarray, target: np.ndarra
     ``[S, P, N + 1, d]``: wire 0 is the target, wire 1 + i the ancilla of gate i (from
     |0>); round l applies gate ``plan[l, x, w]`` (N: the identity) to wire w of branch x."""
     n_sets, n, _, d = mats.shape
-    gates = np.concatenate([mats, np.broadcast_to(np.eye(d), (n_sets, 1, d, d))], axis=1)
-    states = np.stack([target] + [basis_state(d, 0)] * n)[..., None]   # [N + 1, d, 1]
+    gates = np.empty((n_sets, n + 1, d, d), dtype=complex)
+    gates[:, :n] = mats
+    gates[:, n] = np.eye(d)
+    states = np.zeros((n + 1, d, 1), dtype=complex)   # the target, then every ancilla at |0>
+    states[0, :, 0] = target
+    states[1:, 0] = 1.0
     for gate in circuit.plan:   # the first round broadcasts the start over sets and branches
-        states = gates[:, gate] @ states
+        states = gates.take(gate, axis=1) @ states
     return states[..., 0]
 
 

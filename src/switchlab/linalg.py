@@ -74,10 +74,10 @@ def require_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
 def as_state(amplitudes) -> np.ndarray:
     """Validate and return a normalized pure-state vector."""
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if not np.isfinite(v).all():
-        raise ValueError("state has non-finite amplitudes")
     n = math.sqrt(np.vdot(v, v).real)
-    if abs(n - 1.0) > ATOL:
+    if not abs(n - 1.0) <= ATOL:    # a non-finite amplitude makes n inf or NaN
+        if not np.isfinite(v).all():
+            raise ValueError("state has non-finite amplitudes")
         raise ValueError(f"state norm {n} deviates from 1 by more than {ATOL}")
     return v
 

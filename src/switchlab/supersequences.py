@@ -7,17 +7,21 @@ census: a layered breadth-first search over progress vectors (one entry per
 ordering, counting its matched symbols), run on a batch of ordering sets of
 one shape at once.
 
-* A state of set b is one integer, b*(n+1)**P + sum_k p_k*(n+1)**(P-1-k),
-  and an index into one dense boolean mask of reached states (allocated
-  zeroed, so only the pages the search touches are mapped).
-* The orderings are split into two halves.  A table per half, indexed by
-  that half's digits of the key, holds the key increment of every symbol,
-  so each layer forms the successors of every state under all n symbols
-  with two row gathers and keeps the ones the mask has not seen.
+* The orderings are split into a high and a low half.  A state of set b
+  is one integer, (high * B + b) * (n+1)**(P - P//2) + low, where high and
+  low read each half's progress entries as base-(n+1) digits, and an index
+  into one dense boolean mask of reached states (allocated zeroed, so only
+  the pages the search touches are mapped).
+* A table per half, with one row per set and digits of that half, holds
+  the row's part of the key plus the key increment of every symbol, so a
+  layer forms the successors of every state under all n symbols with two
+  row gathers and one add, and keeps the ones the mask has not seen.
 * Tie-break: a new state keeps its first occurrence in (frontier position,
   symbol) order, the order a FIFO queue expanding symbols alphabetically
-  would find it.  The path read back from the goal is therefore the
-  lexicographically smallest shortest supersequence.
+  would find it; one sort by (key, position) finds the first occurrences
+  and a second sort of their positions lists the layer.  The path read
+  back from the goal is therefore the lexicographically smallest shortest
+  supersequence.
 
 ``scs`` searches one set and certifies its result with explicit embeddings.
 ``quartet_census`` histograms the minimal lengths of all identity-containing
@@ -67,9 +71,12 @@ class SupersequenceResult:
         if len(self.embeddings) != len(words):
             raise ValueError("one embedding per permutation required")
         for word, emb in zip(words, self.embeddings):
-            if list(emb) != sorted(emb) or len(set(emb)) != len(emb):
+            positions = sorted(set(emb))
+            if list(emb) != positions:
                 raise ValueError("embedding positions must strictly increase")
-            if "".join(self.sequence[i] for i in emb) != word:
+            if positions and not (0 <= positions[0] and positions[-1] < self.length):
+                raise ValueError(f"embedding positions must lie inside [0, {self.length})")
+            if "".join(map(self.sequence.__getitem__, emb)) != word:
                 raise ValueError(f"embedding does not spell {word!r}")
 
 
@@ -88,16 +95,15 @@ def embed_sequence(sequence: str, perms: PermutationSet) -> SupersequenceResult:
 _CHUNK = 128   # ordering sets per census batch; bounds the per-layer temporaries
 
 
-def _delta_table(need, weights, n):
-    """Key increments of a group of h orderings: row b*(n+1)**h + q, column s
-    holds sum_k weights[k] over the orderings k whose progress digit q_k waits
-    for symbol s, for ``need[B, h, n+1]`` as in ``_shortest_paths``: a broadcast
-    sum of one one-hot block weights[k] * [need[b, k, q_k] == s] per digit."""
-    batch, h, radix = need.shape
+def _delta_table(blocks):
+    """Table of a group of h orderings from one block per ordering,
+    ``blocks[B, h, n+1, n]`` indexed by set, ordering, progress digit q and
+    symbol s (as built in ``_shortest_paths``): row b*(n+1)**h + q, column s
+    holds sum_k blocks[b, k, q_k, s], a broadcast sum of one block per digit."""
+    batch, h, radix, n = blocks.shape
     table = np.zeros((batch,) + (radix,) * h + (n,), dtype=np.int64)
     for k in range(h):
-        block = weights[k] * (need[:, k, :, None] == np.arange(n))   # [B, radix, n]
-        table += block.reshape((batch,) + (1,) * k + (radix,) + (1,) * (h - 1 - k) + (n,))
+        table += blocks[:, k].reshape((batch,) + (1,) * k + (radix,) + (1,) * (h - 1 - k) + (n,))
     return table.reshape(-1, n)
 
 
@@ -106,71 +112,94 @@ def _shortest_paths(sigmas) -> list[list[int]]:
     supersequence of each ordering set in ``sigmas[B, P, n]``.
 
     Layered BFS over all B sets at once.  State (b, progress) has the key
-    b*(n+1)**P + sum_k progress_k*(n+1)**(P-1-k), an index into the dense
-    mask ``seen``.  Appending symbol s adds (n+1)**(P-1-k) for every
-    ordering k whose next required symbol is s; the two ``_delta_table``
-    halves hold those sums, so the successors of a frontier are two row
-    gathers.  Sorting the unseen successors by (key, position) keeps each
-    new state's first occurrence in (frontier position, symbol) order, so
-    every layer lists its states in the order a FIFO queue would discover
-    them, and the first path to reach a goal is the lexicographically
-    smallest shortest one.
+    (high * B + b) * low_span + low, with low_span = (n+1)**(P - P//2), an
+    index into the dense mask ``seen``; key // low_span and
+    key % (B * low_span) are its rows of the high and low ``_delta_table``,
+    whose sum is the key of each of its n successors.
+
+    One layer step sorts the unseen successors in place by
+    key * M + position (M successors, n per frontier state, in symbol
+    order).  The head of each run of equal keys is a new state at its first
+    occurrence in (frontier position, symbol) order, and sorting the heads'
+    positions lists the layer in the order a FIFO queue would discover it,
+    so the first path to reach a goal is the lexicographically smallest
+    shortest one.  A layer keeps only those positions (position // n is the
+    parent, position % n the symbol) for the walk back from each goal.  The
+    goal test reads ``seen`` at the B goals; a set leaves the frontier in
+    the layer it finishes, and only such a layer maps its frontier entries
+    back to the layer's full list.
     """
     sigmas = np.asarray(sigmas, dtype=np.int64)
     batch, n_perms, n = sigmas.shape
     radix = n + 1
+    split = n_perms // 2
+    low_span = radix ** (n_perms - split)
+    block = batch * low_span                    # keys per value of the high half
     weights = radix ** np.arange(n_perms - 1, -1, -1, dtype=np.int64)
+    weights[:split] *= batch                    # a high digit steps over whole blocks
     # need[b, k, p]: the symbol ordering k of set b waits for at progress p;
     # n (no symbol) once the ordering is complete
     need = np.concatenate([sigmas, np.full((batch, n_perms, 1), n)], axis=2)
-    split = n_perms // 2
-    high = _delta_table(need[:, :split], weights[:split], n)
-    low = _delta_table(need[:, split:], weights[split:], n)
-    low_span = radix ** (n_perms - split)
-    starts = np.arange(batch, dtype=np.int64) * radix ** n_perms
-    goals = starts + n * weights.sum()
-    lengths = np.where(goals == starts, 0, -1)  # n == 0: the empty sequence
+    # blocks[b, k, q, s] = weights[k] * (q + [need[b, k, q] == s]): summed over
+    # the digits of a row, a state's part of the key plus each symbol's increment
+    blocks = ((need[..., None] == np.arange(n)) + np.arange(radix)[:, None]) * weights[:, None, None]
+    keys = np.arange(0, block, low_span, dtype=np.int64)     # the start of every set
+    goals = keys + n * weights.sum()
+    # high: row high * B + b; low: row b * low_span + low, plus the set's part b * low_span
+    high = _delta_table(blocks[:, :split]).reshape(batch, -1, n).swapaxes(0, 1).reshape(-1, n)
+    low = _delta_table(blocks[:, split:]).reshape(batch, -1)
+    low += keys[:, None]
+    low = low.reshape(-1, n)
+    seen = np.zeros(batch * radix ** n_perms, dtype=bool)    # untouched pages stay unmapped
+    seen[keys] = True
+    lengths = np.zeros(batch, dtype=np.int64)
     ends = np.zeros(batch, dtype=np.int64)      # each goal's index in its layer
-    member = np.flatnonzero(lengths < 0)        # frontier: set and key
-    keys = starts[member]
-    origin = np.arange(len(member))             # frontier entry -> index in its layer
-    seen = np.zeros(batch * radix ** n_perms, dtype=bool)  # untouched pages stay unmapped
-    seen[starts] = True
-    layers = []                                 # (parent index, symbol) per layer
-    while len(member):
-        row, rest = np.divmod(keys, low_span)   # row = b*radix**split + high progress
-        cand = (keys[:, None] + high.take(row, axis=0)
-                + low.take(member * low_span + rest, axis=0)).ravel()
-        slot = np.flatnonzero(~seen[cand])      # a symbol that advances nothing stays on a seen key
-        cand = cand[slot]
-        count = len(cand)
-        # by key, ties by position; keys * count stays far below 2**63 at the
-        # scs and census sizes
-        ranked = np.sort(cand * count + np.arange(count))
-        key = ranked // count
-        head = np.empty(count, dtype=bool)
-        head[:1] = True
-        np.not_equal(key[1:], key[:-1], out=head[1:])
-        first = np.sort(ranked[head] % count)
-        slot, keys = slot[first], cand[first]
-        seen[keys] = True
-        parent, symbol = np.divmod(slot, n)
-        layers.append((origin[parent], symbol))
-        member = member[parent]
-        done = np.flatnonzero(keys == goals[member])
-        origin = np.arange(len(keys))
-        if len(done):                           # finished sets leave the frontier
+    layers = []                                 # (successor positions, origin) per layer
+    origin, finished = None, 0                  # origin: frontier entry -> index in its layer, or None
+    while True:
+        reached = np.count_nonzero(seen[goals])
+        if reached > finished:                  # sets that finish leave the frontier
+            member = keys // low_span % batch
+            done = (keys == goals[member]).nonzero()[0]
             lengths[member[done]] = len(layers)
             ends[member[done]] = done
-            origin = np.flatnonzero(lengths[member] < 0)
-            member, keys = member[origin], keys[origin]
-    symbols = np.zeros((batch, len(layers)), dtype=np.int64)
-    for depth in range(len(layers), 0, -1):   # walk every path back from its goal
-        on = np.flatnonzero(lengths >= depth)
-        parent, symbol = layers[depth - 1]
-        symbols[on, depth - 1] = symbol[ends[on]]
-        ends[on] = parent[ends[on]]
-    return [row[:length].tolist() for row, length in zip(symbols, lengths)]
+            finished = reached
+            if finished == batch:
+                break
+            origin = (~seen[goals[member]]).nonzero()[0]
+            keys = keys[origin]
+        cand = high.take(keys // low_span, axis=0)
+        cand += low.take(keys % block, axis=0)
+        cand = cand.ravel()
+        span = len(cand)
+        slot = (~seen[cand]).nonzero()[0]       # a symbol that advances nothing stays on a seen key
+        # by key, ties by position; keys * span stays far below 2**63 at the
+        # scs and census sizes
+        ranked = cand[slot]
+        ranked *= span
+        ranked += slot
+        ranked.sort()
+        sorted_keys = ranked // span
+        head = np.empty(len(ranked), dtype=bool)
+        head[:1] = True
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+        first = ranked[head]
+        first %= span
+        first.sort()
+        keys = cand[first]
+        seen[keys] = True
+        layers.append((first, origin))
+        origin = None
+    paths = []                                  # walk every path back from its goal
+    for length, at in zip(lengths.tolist(), ends.tolist()):
+        path = []
+        for positions, back in reversed(layers[:length]):
+            at, symbol = divmod(positions.item(at), n)
+            path.append(symbol)
+            if back is not None:
+                at = back.item(at)
+        paths.append(path[::-1])
+    return paths
 
 
 def scs(perms: PermutationSet) -> SupersequenceResult:
@@ -178,7 +207,7 @@ def scs(perms: PermutationSet) -> SupersequenceResult:
     lexicographically smallest among all shortest ones."""
     if perms.N > 6 or perms.P > 8:
         raise ValueError("limits exceeded: supports N <= 6 and P <= 8")
-    (path,) = _shortest_paths([perms.sigma])
+    (path,) = _shortest_paths(perms.index[None])
     sequence = "".join(_LABELS[s] for s in path)
     return embed_sequence(sequence, perms)
 

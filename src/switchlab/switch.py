@@ -82,7 +82,11 @@ class PermutationSet:
         return cls(rows, require_identity_reference=require_identity_reference)
 
     def to_strings(self) -> list[str]:
-        return ["".join(_LABELS[j] for j in row) for row in self.sigma]
+        return list(self._words)
+
+    @cached_property
+    def _words(self) -> tuple[str, ...]:
+        return tuple("".join(_LABELS[j] for j in row) for row in self.sigma)
 
 
 SIGMA_STAR = PermutationSet.from_strings(("ABCD", "BADC", "CBDA", "DACB"))

@@ -88,11 +88,18 @@ def test_random_unitary_and_fidelity():
     assert linalg.is_unitary(u)
 
 
-def test_as_state_validation():
-    with pytest.raises(ValueError, match="norm"):
-        linalg.as_state([1.0, 1.0])
-    with pytest.raises(ValueError, match="finite"):
-        linalg.as_state([np.nan, 0.0])
+@pytest.mark.parametrize("amplitudes, message", [
+    ([1.0, 1.0], "state norm 1.414213562373095. deviates from 1"),
+    ([np.nan, 0.0], "state has non-finite amplitudes"),
+    ([0.0, np.inf], "state has non-finite amplitudes"),
+    ([-np.inf, 0.0], "state has non-finite amplitudes"),
+    ([complex(0.0, np.nan), 0.0], "state has non-finite amplitudes"),
+    ([1e200, 1e200], "state norm inf deviates from 1 by more than 1e-10"),
+    ([0.0, 0.0], "state norm 0.0 deviates from 1 by more than 1e-10"),
+], ids=["unnormalized", "nan", "inf", "-inf", "imaginary-nan", "overflow", "zero"])
+def test_as_state_validation(amplitudes, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        linalg.as_state(amplitudes)
 
 
 def test_basis_state_rejects_indices_outside_the_dimension():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchlab import (PermutationSet, SIGMA_STAR, embed_sequence,
+from switchlab import (PermutationSet, SIGMA_STAR, SupersequenceResult, embed_sequence,
                        is_supersequence, quartet_census, scs)
 from switchlab import supersequences
 from switchlab.supersequences import _delta_table, _shortest_paths
@@ -64,6 +64,22 @@ def test_embed_sequence_validates():
     assert res.length == 9
     with pytest.raises(ValueError, match="not a supersequence"):
         embed_sequence("ABCD", SIGMA_STAR)
+
+
+@pytest.mark.parametrize("embedding", [(-2, -1), (-1, 0), (0, 2), (0, 5)])
+def test_embedding_positions_must_lie_inside_the_sequence(embedding):
+    # negative positions used to wrap around and certify "AB" as "AB"
+    with pytest.raises(ValueError, match=r"inside \[0, 2\)"):
+        SupersequenceResult("AB", (embedding,), perms_of("AB"))
+
+
+@pytest.mark.parametrize("embedding, message", [((1, 0), "strictly increase"),
+                                                ((0, 0), "strictly increase"),
+                                                ((0,), "does not spell"),
+                                                ((0, 2), "does not spell")])
+def test_embeddings_must_increase_and_spell_their_ordering(embedding, message):
+    with pytest.raises(ValueError, match=message):
+        SupersequenceResult("BAB", (embedding,), perms_of("AB"))
 
 
 def identity_quartets(n):
@@ -161,6 +177,28 @@ def test_scs_sequences_of_every_quartet_are_pinned():
             == "17b183e4d548d8436c6c7224942db226d01085e5c021be8b71cd52a8c0c6d58b")
 
 
+def seeded_ordering_sets():
+    """Identity-first random ordering sets in the shapes (N, P) of the
+    query-cost benchmark, from a fixed seed."""
+    rng = np.random.default_rng(28)
+    for n, p, count in ((5, 5, 8), (6, 5, 6), (5, 6, 4), (5, 7, 3), (5, 8, 2), (6, 6, 2)):
+        for _ in range(count):
+            rows = [tuple(range(n))]
+            while len(rows) < p:
+                row = tuple(rng.permutation(n).tolist())
+                if row not in rows:
+                    rows.append(row)
+            yield PermutationSet(rows)
+
+
+def test_scs_sequences_of_larger_ordering_sets_are_pinned():
+    # SHA-256 taken from the BFS that built the frontier with np.flatnonzero
+    # and a fresh origin map every layer; larger frontiers exercise more ties
+    sequences = "\n".join(scs(perms).sequence for perms in seeded_ordering_sets())
+    assert (hashlib.sha256(sequences.encode()).hexdigest()
+            == "03f6299ed97f7e2ae40ca386b8407ffba32377d34a9c17e9e8e12c21cfe66d39")
+
+
 @pytest.mark.parametrize("n, orbits", [(3, 3), (4, 265)])
 def test_orbit_census_equals_a_search_of_every_quartet(n, orbits, monkeypatch):
     quartets = identity_quartets(n)
@@ -218,6 +256,9 @@ def test_delta_table_matches_a_loop_over_progress_digits(batch, h, n):
                       dtype=np.int64).reshape(batch, h, n)
     need = np.concatenate([sigmas, np.full((batch, h, 1), n)], axis=2)
     weights = rng.integers(1, 10 ** 6, size=h, dtype=np.int64)
+    blocks = np.zeros((batch, h, radix, n), dtype=np.int64)   # one-hot, weighted
+    for b, k, q_k in itertools.product(range(batch), range(h), range(n)):
+        blocks[b, k, q_k, need[b, k, q_k]] = weights[k]
     expected = np.zeros((batch * radix ** h, n), dtype=np.int64)
     for b in range(batch):
         # every progress-digit tuple, the completed digit n included
@@ -226,7 +267,7 @@ def test_delta_table_matches_a_loop_over_progress_digits(batch, h, n):
             for k, q_k in enumerate(q):
                 if q_k < n:
                     expected[row, need[b, k, q_k]] += weights[k]
-    table = _delta_table(need, weights, n)
+    table = _delta_table(blocks)
     assert table.dtype == np.int64
     assert np.array_equal(table, expected)
 

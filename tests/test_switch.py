@@ -31,6 +31,16 @@ def test_sigma_star_contents():
     assert SIGMA_STAR.N == 4 and SIGMA_STAR.P == 4
 
 
+def test_to_strings_returns_a_fresh_list_every_call():
+    # the words are built once per set; a caller's edit must not reach them
+    perms = PermutationSet.from_strings(["ABC", "CAB"])
+    words = perms.to_strings()
+    words[0] = "ZZZ"
+    words.append("BCA")
+    assert perms.to_strings() == ["ABC", "CAB"]
+    assert perms.to_strings() is not perms.to_strings()
+
+
 def test_permutation_set_validation():
     with pytest.raises(ValueError, match="not a permutation"):
         PermutationSet.from_strings(["ABCA"])
