@@ -92,9 +92,8 @@ def _check_circuit(circuit: FixedOrderCircuit) -> None:
     """The wire plan spells every ordering on the target.  Every other step
     parks its gate, so each branch then parks gate i (occurrences - 1) times
     and the ancillas end in the same state in every branch."""
-    symbols = np.array(circuit.symbols)
-    for x, ordering in enumerate(circuit.perms.sigma):
-        if tuple(symbols[circuit.wires[:, x] == 0]) != ordering:
+    for x, ordering in enumerate(circuit.perms.sigma):   # wires[s, x] == 0 where usage[s][x]
+        if tuple(i for i, row in zip(circuit.symbols, circuit.usage) if row[x]) != ordering:
             raise InvariantViolation(f"target steps of branch {x} do not spell its ordering")
 
 

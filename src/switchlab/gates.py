@@ -94,7 +94,7 @@ class SignMatrix:
         if not (np.all(e[0] == 1) and np.all(e[:, 0] == 1)):
             raise ValueError("first row and column must be all +1")
         gate = e.astype(complex) / np.sqrt(p)
-        readout = (gate[:, 0], gate.conj().T, gate.conj().T.conj())   # switch._readout's constants
+        readout = (gate[:, :1], gate.conj().T, gate.conj().T.conj())   # switch._readout's constants
         # oracles._promise_residuals: K distinct entries, lookup[x-1, y] = (x-1) K + e[x, y]'s index
         _, first, which = np.unique(keys, return_index=True, return_inverse=True)
         distinct = e.reshape(-1)[first].astype(complex)

@@ -40,8 +40,10 @@ def _promise_residuals(prods: np.ndarray, m: SignMatrix) -> np.ndarray:
     reference (two for +-1 entries) is taken once; the reference's own row,
     all 1 at distance 0, is skipped, so with P = 1 every residual is 0.0."""
     ref = prods[..., :1, None, :, :]
-    dist = np.abs(prods[..., 1:, None, :, :] - m._distinct[:, None, None] * ref).max(axis=(-2, -1))
-    return np.max(dist.reshape(*dist.shape[:-2], -1)[..., m._lookup], axis=-2, initial=0.0)
+    dist = np.maximum.reduce(np.abs(prods[..., 1:, None, :, :] - m._distinct[:, None, None] * ref),
+                             axis=(-2, -1))
+    return np.maximum.reduce(dist.reshape(*dist.shape[:-2], -1)[..., m._lookup], axis=-2,
+                             initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -56,12 +58,12 @@ def check_promise(oracle: OracleSet, perms: PermutationSet, m: SignMatrix) -> Pr
     for the entries of some column; returns the smallest such column."""
     if m.P != perms.P:
         raise ValueError("sign-matrix order does not match the permutation set")
-    residuals = _promise_residuals(all_products(oracle, perms), m)
-    hits = np.flatnonzero(residuals <= PROMISE_TOL)
-    if hits.size:
-        y = int(hits[0])
-        return PromiseVerdict(True, y, float(residuals[y]))
-    return PromiseVerdict(False, None, float(residuals.min()))
+    # finite, as the gates are checked unitaries, so min() below agrees with numpy's
+    residuals = _promise_residuals(all_products(oracle, perms), m).tolist()
+    for y, r in enumerate(residuals):
+        if r <= PROMISE_TOL:
+            return PromiseVerdict(True, y, r)
+    return PromiseVerdict(False, None, min(residuals))
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,8 @@ def test_criterion_05_noiseless_unit_success(promise_sets, m4):
     rng = np.random.default_rng(2024)
     targets = np.stack([basis_state(2, 0)] + [random_state(2, rng) for _ in range(100)])
     pis = _ordering_products(np.stack([s.matrices() for s in sets]), SIGMA_STAR.index)
-    dist = _readout(pis, m4._readout, targets, 0.0)     # [set, target, outcome]
+    # [set, target, outcome]: the kernel batches the sets, one target per call
+    dist = np.stack([_readout(pis, m4._readout, t, 0.0) for t in targets], axis=1)
     columns = np.array([s.claimed_y for s in sets])
     success = dist[np.arange(len(sets)), :, columns]
     worst = float(success.min())

@@ -51,7 +51,7 @@ def test_fourier_census_and_the_determinant_rule(gates, perms, per_column):
     assert all(count == 0 for y, count in enumerate(per_column) if (y * d) % perms.P)
     # every listed set decodes its column with certainty from |0>
     pis = np.stack([all_products(s, perms) for s in sets])
-    dist = _readout(pis, m._readout, basis_state(d, 0)[None], 0.0)[:, 0]
+    dist = _readout(pis, m._readout, basis_state(d, 0), 0.0)
     success = dist[np.arange(len(sets)), [s.claimed_y for s in sets]]
     assert success.min() >= 1 - 1e-9
 

@@ -166,6 +166,13 @@ def test_zero_shots_exits_2(capsys):
     assert "shots must be at least 1" in err
 
 
+def test_too_many_shots_exits_2(capsys):
+    code, out, err = run_cli(capsys, "run", "--table", "1", "--column", "1",
+                             "--shots", "100000000000000000000")
+    assert code == 2 and not out
+    assert "shots must be at most 9223372036854775807" in err
+
+
 def test_bad_gamma_exits_2(capsys):
     code, _, err = run_cli(capsys, "run", "--table", "1", "--column", "0",
                            "--gamma", "1.5")

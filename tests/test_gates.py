@@ -107,10 +107,10 @@ def test_fourier_gate_is_the_transform_bit_for_bit(p):
 @pytest.mark.parametrize("m", [hadamard_m4(), sylvester_hadamard(0), sylvester_hadamard(3),
                                fourier_matrix(3), fourier_matrix(4)])
 def test_sign_matrix_readout_constants_are_read_only_copies(m):
-    # the decode kernel reads these in place of H[:, 0], H^-1 and conj(H^-1) per call
+    # the decode kernel reads these in place of H[:, :1], H^-1 and conj(H^-1) per call
     h = m.as_gate()
     uinv = h.conj().T
-    for kept, fresh in zip(m._readout, (h[:, 0], uinv, uinv.conj())):
+    for kept, fresh in zip(m._readout, (h[:, :1], uinv, uinv.conj())):
         assert not kept.flags.writeable
         assert kept.strides == fresh.strides and kept.dtype == fresh.dtype
         assert kept.tobytes() == fresh.tobytes()   # the bits, signed zeros included

@@ -212,8 +212,8 @@ def test_memoized_decodes_equal_direct_computation(m4, promise_sets):
         if noise.epsilon != 0.0:
             mats = _overrotation(noise.epsilon) @ mats
         dist = _readout(_ordering_products(mats, SIGMA_STAR.index), m4._readout,
-                        psi[None], noise.gamma)
-        return _finish(dist[0], orc.claimed_y)
+                        psi, noise.gamma)
+        return _finish(dist, orc.claimed_y)
 
     sets = promise_sets[1]
     rng = np.random.default_rng(7)
@@ -580,7 +580,7 @@ def test_decode_matches_rank4_reference(setup, seed, gamma, epsilon):
     tilted = _overrotation(epsilon) @ orc.matrices()
     pis = fold_products(tilted, perms.sigma)
     expected = reference_dephased(pis, h, psi, gamma)
-    assert_allclose(_readout(pis, m._readout, psi[None], gamma)[0], expected, atol=1e-12)
+    assert_allclose(_readout(pis, m._readout, psi, gamma), expected, atol=1e-12)
     res = run_hadamard_algorithm(orc, perms, m, psi, NoiseModel(gamma, epsilon))
     assert_allclose(res.outcome_distribution, expected, atol=1e-12)
 
@@ -617,8 +617,8 @@ def test_qubit_sign_matrix_decode_ignores_the_target(setup, seed, gamma, epsilon
 
 
 def test_fourier_decode_depends_on_the_target():
-    # with d >= P the Fourier readout sees the target, so the batched decode
-    # keeps a target axis
+    # with d >= P the Fourier readout sees the target, so the decode kernel
+    # takes a target and cannot share one distribution between targets
     perms = PermutationSet([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -637,14 +637,16 @@ def test_batched_decode_equals_scalar_calls(setup, seed, n_sets, n_targets, gamm
     rng = np.random.default_rng(seed)
     oracles = [haar_oracle(perms.N, rng) for _ in range(n_sets)]
     targets = np.stack([random_state(2, rng) for _ in range(n_targets)])
-    mats = _overrotation(epsilon) @ np.stack([o.matrices() for o in oracles])
-    batch = _readout(_ordering_products(mats, perms.index), m._readout, targets, gamma)
-    assert batch.shape == (n_sets, n_targets, perms.P)
+    pis = _ordering_products(_overrotation(epsilon) @ np.stack([o.matrices() for o in oracles]),
+                             perms.index)
     noise = NoiseModel(gamma, epsilon)
-    for orc, rows in zip(oracles, batch):
-        for psi, row in zip(targets, rows):
+    for psi in targets:   # one target per call; the sets are the batch
+        batch = _readout(pis, m._readout, psi, gamma)
+        assert batch.shape == (n_sets, perms.P)
+        for orc, row in zip(oracles, batch):
             scalar = run_hadamard_algorithm(orc, perms, m, psi, noise).outcome_distribution
-            assert_allclose(row, scalar, atol=1e-12)
+            assert np.array_equal(_finish(row, None).outcome_distribution.view(np.uint64),
+                                  scalar.view(np.uint64))
 
 
 def test_success_nonincreasing_in_gamma(m4):
@@ -706,6 +708,13 @@ def test_sampling_takes_integer_shots(m4):
     with pytest.raises(ValueError, match="shots must be an integer, not 2.5"):
         sample_shots(res, 2.5, seed=0)   # used to draw 2 shots
     assert sample_shots(res, np.int64(5), seed=0).sum() == 5
+
+
+def test_sampling_refuses_shots_beyond_int64(m4):
+    res = run_hadamard_algorithm(chart_fixture("table1")[0], SIGMA_STAR, m4, basis_state(2, 0))
+    assert sample_shots(res, 2 ** 63 - 1, seed=0).sum() == 2 ** 63 - 1
+    with pytest.raises(ValueError, match=r"shots must be at most 9223372036854775807"):
+        sample_shots(res, 2 ** 63, seed=0)   # used to raise numpy's OverflowError
 
 
 def test_sampling_rejects_negative_seed(m4):
