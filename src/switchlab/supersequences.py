@@ -93,6 +93,7 @@ def embed_sequence(sequence: str, perms: PermutationSet) -> SupersequenceResult:
 
 
 _CHUNK = 128   # ordering sets per census batch; bounds the per-layer temporaries
+_MAX_KEYS = 2 ** 26   # states one search may key: a 64 MiB mask, room for 8 orderings of 8 labels
 
 
 def _delta_table(blocks):
@@ -123,15 +124,22 @@ def _shortest_paths(sigmas) -> list[list[int]]:
     occurrence in (frontier position, symbol) order, and sorting the heads'
     positions lists the layer in the order a FIFO queue would discover it,
     so the first path to reach a goal is the lexicographically smallest
-    shortest one.  A layer keeps only those positions (position // n is the
-    parent, position % n the symbol) for the walk back from each goal.  The
-    goal test reads ``seen`` at the B goals; a set leaves the frontier in
-    the layer it finishes, and only such a layer maps its frontier entries
-    back to the layer's full list.
+    shortest one.  A layer is just those positions (position // n is the
+    parent, position % n the symbol), read back from each goal.  Nothing
+    prunes the frontier: a finished set's goal is new in one layer only, and
+    later layers never touch the positions its path recorded.
+
+    More than ``_MAX_KEYS`` = 2**26 states, B * (n+1)**P, are refused before
+    ``seen`` is allocated.  So every key is below 2**26 and M <= n * 2**26,
+    and key * M + position < n * (2**52 + 2**26) < 2**63 for any n < 2**11
+    labels (a ``PermutationSet`` holds at most 8).
     """
     sigmas = np.asarray(sigmas, dtype=np.int64)
     batch, n_perms, n = sigmas.shape
     radix = n + 1
+    if batch * radix ** n_perms > _MAX_KEYS:
+        raise ValueError(f"a search over {batch * radix ** n_perms} states exceeds "
+                         f"the {_MAX_KEYS} one search may key")
     split = n_perms // 2
     low_span = radix ** (n_perms - split)
     block = batch * low_span                    # keys per value of the high half
@@ -154,11 +162,11 @@ def _shortest_paths(sigmas) -> list[list[int]]:
     seen[keys] = True
     lengths = np.zeros(batch, dtype=np.int64)
     ends = np.zeros(batch, dtype=np.int64)      # each goal's index in its layer
-    layers = []                                 # (successor positions, origin) per layer
-    origin, finished = None, 0                  # origin: frontier entry -> index in its layer, or None
+    layers = []                                 # successor positions per layer
+    finished = 0
     while True:
         reached = np.count_nonzero(seen[goals])
-        if reached > finished:                  # sets that finish leave the frontier
+        if reached > finished:                  # a goal is new in exactly one layer
             member = keys // low_span % batch
             done = (keys == goals[member]).nonzero()[0]
             lengths[member[done]] = len(layers)
@@ -166,16 +174,12 @@ def _shortest_paths(sigmas) -> list[list[int]]:
             finished = reached
             if finished == batch:
                 break
-            origin = (~seen[goals[member]]).nonzero()[0]
-            keys = keys[origin]
         cand = high.take(keys // low_span, axis=0)
         cand += low.take(keys % block, axis=0)
         cand = cand.ravel()
         span = len(cand)
         slot = (~seen[cand]).nonzero()[0]       # a symbol that advances nothing stays on a seen key
-        # by key, ties by position; keys * span stays far below 2**63 at the
-        # scs and census sizes
-        ranked = cand[slot]
+        ranked = cand[slot]                     # by key, ties by position
         ranked *= span
         ranked += slot
         ranked.sort()
@@ -188,16 +192,13 @@ def _shortest_paths(sigmas) -> list[list[int]]:
         first.sort()
         keys = cand[first]
         seen[keys] = True
-        layers.append((first, origin))
-        origin = None
+        layers.append(first)
     paths = []                                  # walk every path back from its goal
     for length, at in zip(lengths.tolist(), ends.tolist()):
         path = []
-        for positions, back in reversed(layers[:length]):
+        for positions in reversed(layers[:length]):
             at, symbol = divmod(positions.item(at), n)
             path.append(symbol)
-            if back is not None:
-                at = back.item(at)
         paths.append(path[::-1])
     return paths
 
@@ -205,8 +206,6 @@ def _shortest_paths(sigmas) -> list[list[int]]:
 def scs(perms: PermutationSet) -> SupersequenceResult:
     """Certified shortest common supersequence of the orderings, the
     lexicographically smallest among all shortest ones."""
-    if perms.N > 6 or perms.P > 8:
-        raise ValueError("limits exceeded: supports N <= 6 and P <= 8")
     (path,) = _shortest_paths(perms.index[None])
     sequence = "".join(_LABELS[s] for s in path)
     return embed_sequence(sequence, perms)

@@ -369,6 +369,14 @@ def test_scs_rejects_an_empty_ordering(capsys):
     assert "an ordering needs at least one label" in err
 
 
+def test_scs_refuses_a_search_beyond_the_key_bound(capsys):
+    words = ["ABCDEFGH", "CEDGFABH", "GCHEFBAD", "DCBHGAFE", "FEDAHCBG",
+             "CBDGAFEH", "EHGFABCD", "BAECDFGH", "HGFEDCBA"]
+    code, out, err = run_cli(capsys, "scs", *words)
+    assert code == 2 and not out
+    assert f"a search over {9 ** 9} states exceeds the {2 ** 26} one search may key" in err
+
+
 def test_gate_file_must_hold_a_list(capsys, tmp_path):
     path = tmp_path / "gates.json"
     path.write_text(json.dumps({"name": "Z"}))

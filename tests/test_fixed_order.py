@@ -203,6 +203,21 @@ def test_qutrit_fidelity_matches_dense_trace(seed, n, p):
     assert abs(f - dense_fidelity(circuit, orc, control, psi)) <= 1e-12
 
 
+def test_eight_slots_need_a_23_query_circuit_that_reproduces_the_switch():
+    # the switch queries each of the 8 gates once; a fixed-order circuit
+    # pays for a shortest supersequence, 23 queries, a gap of 15
+    perms = PermutationSet.from_strings(["ABCDEFGH", "CEDGFABH", "GCHEFBAD", "DCBHGAFE",
+                                         "FEDAHCBG", "CBDGAFEH", "EHGFABCD", "BAECDFGH"])
+    res = scs(perms)
+    assert (res.length, res.sequence) == (23, "DCBFEDAHGACHEFABACDEFGH")
+    circuit = build_fixed_circuit(res, perms)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        f = switch_equivalence_fidelity(circuit, random_oracle(rng, 8),
+                                        random_state(8, rng), random_state(2, rng))
+        assert abs(f - 1.0) <= FIDELITY_FLOOR
+
+
 def test_promise_set_fidelities_match_dense_trace(star_circuit, m4, promise_sets):
     control, psi = m4.as_gate()[:, 0], random_state(2, np.random.default_rng(31))
     sets = promise_sets[1]

@@ -1,8 +1,11 @@
 import hashlib
 import itertools
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -737,9 +740,49 @@ def _report_digest(report):
 # reproduce bit for bit.  The PSD defects come from LAPACK, so another numpy
 # build may need the digests captured again from that code.  The mixed parts'
 # defects come from eigvalsh on 1024 rows, whose last bits differ between one
-# BLAS thread and several; MIXED_DIGEST holds the multithreaded bits.
+# BLAS thread and several; MIXED_DIGEST holds the bits of two threads, and
+# ``_mixed_digest`` computes them under two threads on any number of CPUs.
 COMBS_DIGEST = "03c050558710366b5c24ffe376b3f8474a755ab76a433033c505a889e5c2b82b"
 MIXED_DIGEST = "117f57e65f330f5f6c1fbdfb17b41cdf2fa60e718fe08af600d47603a5e651cb"
+# The child sets two OpenBLAS threads through the library itself, since
+# OPENBLAS_NUM_THREADS is capped at the CPUs present, and prints the count.
+MIXED_SCRIPT = """
+import ctypes, sys
+from pathlib import Path
+import numpy as np
+for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+    lib = ctypes.CDLL(str(path))
+    for name in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
+        if hasattr(lib, name.format("set_num_threads")):
+            set_threads = getattr(lib, name.format("set_num_threads"))
+            get_threads = getattr(lib, name.format("get_num_threads"))
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads(2)
+            print(get_threads())
+            break
+sys.path.insert(0, "tests")
+from test_processes import _mixed_parts, _report_digest, _weighted_combs
+from switchlab import verify_ccgo_decomposition
+print(_report_digest(verify_ccgo_decomposition(_mixed_parts(_weighted_combs(15)))))
+"""
+
+
+def _mixed_digest():
+    """The digest of the mixed parts' report from a fresh interpreter whose
+    OpenBLAS runs two threads, on any number of CPUs; a short thread timeout
+    keeps two threads on one CPU from spinning against each other."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.environ.get("PYTHONPATH")
+    src = str(root / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OPENBLAS_THREAD_TIMEOUT="4",
+               PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-c", MIXED_SCRIPT], capture_output=True,
+                          text=True, env=env, cwd=root, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *threads, digest = proc.stdout.split()
+    assert threads in ([], ["2"])
+    return digest
 
 
 def _negative_zeros(m):
@@ -771,8 +814,7 @@ def test_verifier_report_is_pinned_bit_for_bit():
             parts[key] = layout(combs[key])
             assert np.array_equal(parts[key], combs[key])
         assert _report_digest(verify_ccgo_decomposition(parts)) == COMBS_DIGEST
-    mixed = _mixed_parts(combs)
-    assert _report_digest(verify_ccgo_decomposition(mixed)) == MIXED_DIGEST
+    assert _mixed_digest() == MIXED_DIGEST
 
 
 def test_support_row_residual_is_bit_identical_on_every_qubit():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,9 +147,24 @@ def test_scs_is_deterministic():
     assert a.sequence == b.sequence == "ABACBDACB"  # lexicographically smallest
 
 
-def test_scs_limits():
-    with pytest.raises(ValueError, match="limits"):
-        scs(PermutationSet([tuple(range(7))]))
+def test_scs_refuses_a_search_beyond_the_key_bound():
+    # nine orderings of eight labels key 9**9 states, more than _MAX_KEYS;
+    # the refusal comes before the 387 MB mask or any table is allocated
+    nine = perms_of("ABCDEFGH", "CEDGFABH", "GCHEFBAD", "DCBHGAFE", "FEDAHCBG",
+                    "CBDGAFEH", "EHGFABCD", "BAECDFGH", "HGFEDCBA")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"a search over {9 ** 9} states exceeds "
+                                             f"the {supersequences._MAX_KEYS} one search may key"):
+            scs(nine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert supersequences._MAX_KEYS == 2 ** 26 and peak < 2 ** 20
+    # seven labels, once over the old cap, are searched: a word and its
+    # reverse share one label at most, so they need 2 * 7 - 1 queries
+    res = scs(perms_of("ABCDEFG", "GFEDCBA"))
+    assert (res.length, res.sequence) == (13, "ABCDEFGFEDCBA")
 
 
 def test_quartet_census_counts():

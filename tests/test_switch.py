@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 
 from switchlab import (NoiseModel, OracleSet, PermutationSet, RunResult, SIGMA_STAR,
                        all_products, apply_n_switch, basis_state,
-                       chart_fixture, check_promise, fourier_matrix, hadamard_m4,
-                       pauli, random_state,
+                       chart_fixture, check_promise, enumerate_promise_sets,
+                       fourier_matrix, gate_set_G, hadamard_m4, pauli, random_state,
                        run_hadamard_algorithm, sample_shots,
                        sylvester_hadamard)
 from switchlab.gates import NamedGate
@@ -545,6 +545,31 @@ def test_trivial_noise_reproduces_ideal_exactly(m4):
     ideal = run_hadamard_algorithm(fix, SIGMA_STAR, m4, psi)
     noisy = run_hadamard_algorithm(fix, SIGMA_STAR, m4, psi, NoiseModel(0.0, 0.0))
     assert np.array_equal(ideal.outcome_distribution, noisy.outcome_distribution)
+
+
+@pytest.mark.parametrize("case", ["pair_p2", "sigma_star", "pauli_p8"])
+def test_dephasing_law_holds_on_every_promise_set(m4, promise_sets, case):
+    # control dephasing gamma keeps the promised column with probability
+    # 1 - (P - 1) gamma / P, for every set and any target
+    if case == "pair_p2":
+        perms, m = PermutationSet.from_strings(["AB", "BA"]), sylvester_hadamard(1)
+        sets = enumerate_promise_sets(gate_set_G(), perms, m)[1]
+    elif case == "sigma_star":
+        perms, m, sets = SIGMA_STAR, m4, promise_sets[1]
+    else:
+        perms = PermutationSet.from_strings(
+            ["ABCD", "ADBC", "ADCB", "BACD", "BADC", "BCAD", "BCDA", "BDAC"])
+        m = sylvester_hadamard(3)
+        sets = enumerate_promise_sets([pauli(n) for n in "IZXY"], perms, m)[1]
+    assert len(sets) == {"pair_p2": 46, "sigma_star": 460, "pauli_p8": 64}[case]
+    rng = np.random.default_rng(17)
+    targets = [basis_state(2, 0)] + [random_state(2, rng) for _ in range(2)]
+    for gamma in (0.02, 0.05, 0.1):
+        law = 1 - (perms.P - 1) * gamma / perms.P
+        for s in sets:
+            for psi in targets:
+                res = run_hadamard_algorithm(s, perms, m, psi, NoiseModel(gamma, 0.0))
+                assert abs(res.success_probability - law) <= 1e-12
 
 
 def reference_dephased(pis, u_ctrl, target, gamma):
