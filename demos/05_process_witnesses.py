@@ -15,8 +15,8 @@ import numpy as np
 from switchlab import (SIGMA_STAR, ProcessMatrix, basis_state, build_effective_process,
                        chart_fixture, definite_order_process,
                        enumerate_promise_sets, gate_set_G, hadamard_m4,
-                       success_probability, superinstrument, uniform_witness,
-                       verify_ccgo_decomposition, witness_operator)
+                       success_probability, uniform_witness, verify_ccgo_decomposition,
+                       witness_operator)
 
 m4 = hadamard_m4()
 process = build_effective_process(basis_state(2, 0), m4)
@@ -36,9 +36,9 @@ for answer in range(4):
     print(f"  always answering {answer}: p = {val:.2f}")
 
 print("\n-- per-outcome reduction --")
-si = superinstrument(process)
-print("block traces:", [round(float(np.trace(p).real), 3) for p in si],
-      "-> sum", round(float(sum(np.trace(p).real for p in si)), 3))
+# the block of outcome y is A_y A_y^dagger, A_y = factor[:, y], so its trace is ||A_y||^2
+traces = [float(np.vdot(a, a).real) for a in process.factor.swapaxes(0, 1)]
+print("block traces:", [round(t, 3) for t in traces], "-> sum", round(sum(traces), 3))
 
 print("\n-- checking the decomposition constraints of classical order control --")
 # every part goes in as its factor: the verifier never builds a dense matrix

@@ -27,9 +27,8 @@ _EXPORTS = {
                     "attack_combined", "attack_table1", "attack_table2", "build_fixed_circuit",
                     "simulate_fixed_circuit", "switch_equivalence_fidelity"),
     "processes": ("CcgoReport", "ConstraintCheck", "ProcessMatrix", "build_effective_ket",
-                  "build_effective_process", "build_switch_process_ket",
-                  "definite_order_process", "oracle_choi_ket", "success_probability",
-                  "superinstrument", "uniform_witness", "verify_ccgo_decomposition",
+                  "build_effective_process", "definite_order_process", "oracle_choi_ket",
+                  "success_probability", "uniform_witness", "verify_ccgo_decomposition",
                   "witness_operator"),
     "supersequences": ("QuartetCensus", "SupersequenceResult", "embed_sequence",
                        "is_supersequence", "quartet_census", "scs"),

@@ -1,7 +1,8 @@
 """Command-line front end: every analysis as a reproducible, scriptable
 command emitting one JSON report on stdout.
 
-Exit codes: 0 success, 2 usage or parameter error, 3 internal invariant
+Exit codes: 0 success, 1 stdout closed early (the reader went away before
+the report was written), 2 usage or parameter error, 3 internal invariant
 violation.  With fixed arguments and seed the JSON payload is byte-identical
 across runs except for the elapsed_ms field.
 
@@ -381,12 +382,15 @@ def main(argv=None) -> int:
         "seed": getattr(args, "seed", None),
         "elapsed_ms": elapsed_ms,
     }
-    if rendered is not None:
+    if rendered is None:
+        rendered = _render_pretty(envelope) if args.pretty else json.dumps(envelope, sort_keys=True)
+    try:
         print(rendered)
-    elif args.pretty:
-        print(_render_pretty(envelope))
-    else:
-        print(json.dumps(envelope, sort_keys=True))
+        sys.stdout.flush()   # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # Python's documented SIGPIPE pattern: the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .linalg import EXACT_TEST_TOL, InvariantViolation, as_state, basis_state, kron_all
-from .switch import _LABELS, OracleSet, PermutationSet, _ordering_products, _products, chart_fixture
+from .switch import _LABELS, OracleSet, PermutationSet, _products, chart_fixture
 
 if TYPE_CHECKING:
     from .supersequences import SupersequenceResult
@@ -141,13 +141,12 @@ def ancilla_factor(circuit: FixedOrderCircuit, oracle: OracleSet) -> np.ndarray:
 
 
 def _fidelities(circuit: FixedOrderCircuit, mats: np.ndarray, control: np.ndarray,
-                target: np.ndarray, pis: np.ndarray | None = None) -> np.ndarray:
+                target: np.ndarray, pis: np.ndarray) -> np.ndarray:
     """Switch-equivalence fidelities for oracle stacks ``mats[S, N, d, d]``, shape [S];
-    ``pis[S, P, d, d]`` are their ordering products, computed when not given.  Branch x
-    leaves c_x |x> |T_x> (x) |a_x1> ... |a_xN>, so the fidelity is alpha^dagger G alpha
+    ``pis[S, P, d, d]`` are their ordering products.  Branch x leaves
+    c_x |x> |T_x> (x) |a_x1> ... |a_xN>, so the fidelity is alpha^dagger G alpha
     with alpha_x = |c_x|^2 <Pi_x t|T_x> and the Gram matrix G_xy = prod_i <a_xi|a_yi>."""
     states = _wire_states(circuit, mats, target)
-    pis = _ordering_products(mats, circuit.perms.index) if pis is None else pis
     reference = target @ pis.swapaxes(-1, -2)                     # Pi_x |t>, [S, P, d]
     alpha = abs(control) ** 2 * (reference.conj() * states[:, :, 0]).sum(axis=-1)
     ancillas = states[:, :, 1:].swapaxes(1, 2)                   # [S, N, P, d]

@@ -2,29 +2,31 @@
 
 A process matrix is a positive operator over the input/output spaces of the
 N gate slots (plus control registers) that encodes how the slots are
-wired.  This module builds the ideal controlled-ordering wiring, the
-effective process left after fixing the control preparation/readout and the
-target input, witness operators whose expectation is the algorithm's success
-probability, the per-outcome superinstrument reduction, and the verifier for
-decompositions certifying classically controlled gate orders.
+wired.  This module builds the effective process left after fixing the
+control preparation/readout and the target input of the controlled-ordering
+wiring, witness operators whose expectation is the algorithm's success
+probability, and the verifier for decompositions certifying classically
+controlled gate orders.
 
 Every process built here is a pure wiring ket with the final target ``t_f``
 traced out, so it has rank <= 2.  :class:`ProcessMatrix` therefore stores a
 factor A with W = A A^dagger: positivity holds by construction, and witness
-values and superinstrument blocks are computed from the rows of A.  The
-dense W is built only on request, on the rows where A holds a nonzero and
-without BLAS: a rank <= 2 product gains nothing from BLAS threads, which
-would then spin idle.  The decomposition verifier runs on factor pairs, so
-it never makes a ProcessMatrix part dense and runs at any N; a dense part
-(it may come from anywhere) is read once, for its support.
+values are computed from the rows of A (the block of readout outcome y is
+A_y A_y^dagger, with A_y = A[:, y]).  The dense W is built only on request,
+on the rows where A holds a nonzero and without BLAS: a rank <= 2 product
+gains nothing from BLAS threads, which would then spin idle.  The
+decomposition verifier runs on factor pairs, so it never makes a
+ProcessMatrix part dense and runs at any N; a dense part (it may come from
+anywhere) is read once, for its support.
 
-N is read from the inputs.  One layout (asserted by tests), slowest first:
+N and P are read from the inputs: a witness is its components only, and
+its outcomes are checked against the readout of the process it is scored on.
+One layout (asserted by tests), slowest first:
 
 * the 2N party qubits (A_I, A_O, B_I, B_O, ...), then the readout ``c`` of
   dimension P: processes and witnesses live on 4**N * P rows, and a factor
   has shape (4**N, P, r), so its shape gives both N and P;
-* wiring chains run over (parties, t_f), and the ideal switch ket over
-  (c_p, t_p, parties, t_f, c_f);
+* wiring chains run over (parties, t_f);
 * wiring links are identities, i.e. unnormalized maximally-entangled pairs
   |00> + |11> with squared norm 2;
 * the transpose in witness operators is taken entrywise in the computational
@@ -52,17 +54,6 @@ def _dense_zeros(n: int) -> np.ndarray:
     if n > _DENSE_ROWS:
         raise ValueError(f"a dense {(n, n)} operator exceeds {_DENSE_ROWS} rows; use the factors")
     return np.zeros((n, n), dtype=complex)
-
-
-def _gram(f: np.ndarray) -> np.ndarray:
-    """Read-only f f^dagger, formed by einsum (no BLAS call) on the rows of f
-    that hold a nonzero and scattered into a zero matrix."""
-    rows = np.flatnonzero(f.any(axis=1))
-    sub = f[rows]
-    out = _dense_zeros(len(f))
-    out[np.ix_(rows, rows)] = np.einsum("ik,jk->ij", sub, sub.conj())
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +84,16 @@ class ProcessMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense W over 4**N * P <= 2048 rows, built on first use; read-only."""
-        return _gram(self.factor.reshape(-1, self.factor.shape[2]))
+        """Dense W over 4**N * P <= 2048 rows, built on first use; read-only.
+        A A^dagger is formed by einsum (no BLAS call) on the rows of A that
+        hold a nonzero and scattered into a zero matrix."""
+        f = self.factor.reshape(-1, self.factor.shape[2])
+        rows = np.flatnonzero(f.any(axis=1))
+        sub = f[rows]
+        out = _dense_zeros(len(f))
+        out[np.ix_(rows, rows)] = np.einsum("ik,jk->ij", sub, sub.conj())
+        out.flags.writeable = False
+        return out
 
     @property
     def trace(self) -> float:
@@ -110,19 +109,6 @@ def _chain(order, head) -> np.ndarray:
     ins = [axes[2 * j] for j in order] + [axes[-1]]
     links = ",".join(axes[2 * j + 1] + i for j, i in zip(order, ins[1:]))
     return np.einsum(f"...{ins[0]},{links}->...{axes}", head, *[_EYE] * len(order))
-
-
-def build_switch_process_ket(perms: PermutationSet = SIGMA_STAR) -> np.ndarray:
-    """Ideal wiring ket over (c_p, t_p, parties, t_f, c_f).
-
-    Branch x carries |x> on both control registers and a chain of identity
-    links routing t_p through the gate slots in ordering x and out to t_f.
-    Squared norm is P * 2**(N+1) (orthogonal branches, N+1 links each).
-    """
-    ket = np.zeros((perms.P, 2) + (2,) * (2 * perms.N + 1) + (perms.P,), dtype=complex)
-    for x, sig in enumerate(perms.sigma):
-        ket[x, ..., x] = _chain(sig, _EYE)
-    return ket.reshape(-1)
 
 
 def build_effective_ket(target_in: np.ndarray, m: SignMatrix,
@@ -175,10 +161,9 @@ def oracle_choi_ket(oracle: OracleSet) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class WitnessOperator:
     """Convex combination of transposed oracle Choi projectors tagged with
-    their promised outcome on a four-outcome readout; expectation against an
-    effective process is the algorithm's success probability."""
+    their promised readout outcome; expectation against an effective process
+    is the algorithm's success probability."""
 
-    P = 4  # readout dimension
     components: tuple[tuple[OracleSet, int, float], ...]
 
     def __init__(self, components):
@@ -194,8 +179,8 @@ class WitnessOperator:
         for o, y, _ in components:
             if o.N != components[0][0].N or o.dim != 2:
                 raise ValueError("witness components need qubit gates, as many in each")
-            if not 0 <= y < self.P:
-                raise ValueError(f"outcome {y} out of range for readout dim {self.P}")
+            if y < 0:
+                raise ValueError(f"component outcome must be nonnegative, not {y}")
         object.__setattr__(self, "components", components)
 
     @property
@@ -203,8 +188,9 @@ class WitnessOperator:
         return self.components[0][0].N
 
     def matrix(self) -> np.ndarray:
-        """Dense form over 4**N * P <= 2048 rows: sum_k q_k (|U_k>><<U_k|)^T (x) |y_k><y_k|."""
-        d, p = 4 ** self.N, self.P
+        """Dense form sum_k q_k (|U_k>><<U_k|)^T (x) |y_k><y_k| over 4**N * P <= 2048
+        rows, on the smallest readout that holds every outcome: P = 1 + max y_k."""
+        d, p = 4 ** self.N, 1 + max(y for _, y, _ in self.components)
         out = _dense_zeros(d * p).reshape(d, p, d, p)
         for y in range(p):
             comps = [(o, q) for o, yk, q in self.components if yk == y]
@@ -232,23 +218,16 @@ def uniform_witness(oracles) -> WitnessOperator:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def superinstrument(w: ProcessMatrix) -> np.ndarray:
-    """Per-outcome blocks W[y] = Tr_c[(1 (x) |y><y|) W] over the party spaces,
-    as one read-only stack of shape (P, 4**N, 4**N)."""
-    parts = np.stack([_gram(b) for b in w.factor.swapaxes(0, 1)])
-    parts.flags.writeable = False
-    return parts
-
-
 def success_probability(w: ProcessMatrix, g: WitnessOperator) -> float:
     """Tr[G W] = sum_k q_k ||U_k>>^T A_{y_k}|^2, where A_y = factor[:, y] holds
-    the factor rows at readout outcome y and |U_k>> is the oracle's Choi ket."""
-    if w.P != g.P:
-        raise ValueError(f"witness readout dim {g.P} does not match process readout dim {w.P}")
+    the factor rows at readout outcome y and |U_k>> is the oracle's Choi ket;
+    an outcome the process cannot read out is refused."""
     if w.N != g.N:
         raise ValueError(f"witness gate count {g.N} does not match process slot count {w.N}")
     val = 0.0
     for oracle, y, q in g.components:
+        if y >= w.P:
+            raise ValueError(f"outcome {y} out of range for readout dim {w.P}")
         amp = oracle_choi_ket(oracle) @ w.factor[:, y]
         val += q * float(np.vdot(amp, amp).real)
     if not -WITNESS_RANGE_TOL <= val <= 1.0 + WITNESS_RANGE_TOL:

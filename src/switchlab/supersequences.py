@@ -108,9 +108,11 @@ def _delta_table(blocks):
     return table.reshape(-1, n)
 
 
-def _shortest_paths(sigmas) -> list[list[int]]:
-    """Symbols of the lexicographically smallest shortest common
-    supersequence of each ordering set in ``sigmas[B, P, n]``.
+def _shortest_paths(sigmas) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Lexicographically smallest shortest common supersequences of the
+    ordering sets in ``sigmas[B, P, n]``, as (lengths[B], ends[B], layers):
+    set b's path has lengths[b] symbols and ends at index ends[b] of
+    layers[lengths[b] - 1]; ``scs`` walks it back, the census reads lengths.
 
     Layered BFS over all B sets at once.  State (b, progress) has the key
     (high * B + b) * low_span + low, with low_span = (n+1)**(P - P//2), an
@@ -125,9 +127,9 @@ def _shortest_paths(sigmas) -> list[list[int]]:
     positions lists the layer in the order a FIFO queue would discover it,
     so the first path to reach a goal is the lexicographically smallest
     shortest one.  A layer is just those positions (position // n is the
-    parent, position % n the symbol), read back from each goal.  Nothing
-    prunes the frontier: a finished set's goal is new in one layer only, and
-    later layers never touch the positions its path recorded.
+    parent, position % n the symbol).  Nothing prunes the frontier: a
+    finished set's goal is new in one layer only, and later layers never
+    touch the positions its path recorded.
 
     More than ``_MAX_KEYS`` = 2**26 states, B * (n+1)**P, are refused before
     ``seen`` is allocated.  So every key is below 2**26 and M <= n * 2**26,
@@ -193,22 +195,18 @@ def _shortest_paths(sigmas) -> list[list[int]]:
         keys = cand[first]
         seen[keys] = True
         layers.append(first)
-    paths = []                                  # walk every path back from its goal
-    for length, at in zip(lengths.tolist(), ends.tolist()):
-        path = []
-        for positions in reversed(layers[:length]):
-            at, symbol = divmod(positions.item(at), n)
-            path.append(symbol)
-        paths.append(path[::-1])
-    return paths
+    return lengths, ends, layers
 
 
 def scs(perms: PermutationSet) -> SupersequenceResult:
     """Certified shortest common supersequence of the orderings, the
     lexicographically smallest among all shortest ones."""
-    (path,) = _shortest_paths(perms.index[None])
-    sequence = "".join(_LABELS[s] for s in path)
-    return embed_sequence(sequence, perms)
+    _, (at,), layers = _shortest_paths(perms.index[None])
+    path = []                                   # walk the path back from its goal
+    for positions in reversed(layers):
+        at, symbol = divmod(positions.item(at), perms.N)
+        path.append(_LABELS[symbol])
+    return embed_sequence("".join(path[::-1]), perms)
 
 
 @dataclass(frozen=True)
@@ -265,8 +263,8 @@ def quartet_census(n_labels: int = 4, collect: int | None = None) -> QuartetCens
     quartets = np.concatenate([np.zeros((len(quartets), 1), dtype=np.int32), quartets], axis=1)
     _, first, orbit = np.unique(_orbit_keys(quartets, perms), return_index=True,
                                 return_inverse=True)
-    lengths = np.array([len(path) for lo in range(0, len(first), _CHUNK)
-                        for path in _shortest_paths(perms[quartets[first[lo:lo + _CHUNK]]])],
+    lengths = np.array([length for lo in range(0, len(first), _CHUNK)
+                        for length in _shortest_paths(perms[quartets[first[lo:lo + _CHUNK]]])[0]],
                        dtype=np.int64)[orbit]
     values, counts = np.unique(lengths, return_counts=True)
     collected = ()

@@ -99,7 +99,8 @@ def test_criterion_06_circuit_equivalence(promise_sets, m4):
     circuit = build_fixed_circuit(embed_sequence("ACBADACDB", SIGMA_STAR), SIGMA_STAR)
     control = m4.as_gate()[:, 0]
     psi = basis_state(2, 0)
-    fids = _fidelities(circuit, np.stack([s.matrices() for s in sets]), control, psi)
+    mats = np.stack([s.matrices() for s in sets])
+    fids = _fidelities(circuit, mats, control, psi, _ordering_products(mats, circuit.perms.index))
     worst = float(fids.min())
     cross_err = max(abs(switch_equivalence_fidelity(circuit, sets[i], control, psi) - fids[i])
                     for i in range(0, len(sets), 46))

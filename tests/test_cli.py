@@ -1,6 +1,10 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,14 +338,24 @@ def test_witness_of_three_gate_promise_sets_scores_unity(capsys, tmp_path):
     assert env["results"] == {"p_succ": 1.0, "process_trace": 8.0, "components": 136}
 
 
-def test_witness_rejects_eight_orderings(capsys, tmp_path):
-    # eight orderings give an eight-outcome readout; witnesses read four
+def test_witness_runs_on_eight_orderings(capsys, tmp_path):
+    # eight orderings give an eight-outcome readout, read from the process
     path = tmp_path / "perms.json"
     orders = ["".join(o) for o in itertools.permutations("ABCD")][:8]
     path.write_text(json.dumps(orders))
-    code, out, err = run_cli(capsys, "witness", "--perms", str(path), "--matrix", "sylvester")
+    env = run_json(capsys, "witness", "--perms", str(path), "--matrix", "sylvester")
+    assert 0.0 <= env["results"]["p_succ"] <= 1.0
+    assert env["results"]["process_trace"] == 16.0
+
+
+def test_witness_outcome_beyond_the_readout_exits_2(capsys, tmp_path):
+    # two orderings give a two-outcome readout; the thirty sets claim columns up to 3
+    path = tmp_path / "perms.json"
+    path.write_text(json.dumps(["ABCD", "BADC"]))
+    code, out, err = run_cli(capsys, "witness", "--perms", str(path), "--matrix", "sylvester",
+                             "--components", "thirty-uniform")
     assert code == 2 and not out
-    assert "witness readout dim 4 does not match process readout dim 8" in err
+    assert "outcome 2 out of range for readout dim 2" in err
 
 
 def test_empty_permutation_file_exits_2(capsys, tmp_path):
@@ -468,3 +482,18 @@ def test_csv_without_histogram_exits_2(capsys):
     code, _, err = run_cli(capsys, "run", "--table", "1", "--column", "0", "--csv")
     assert code == 2
     assert "histogram" in err
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the reader goes away before the report is written: exit 1, stderr empty
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    read, write = os.pipe()
+    proc = subprocess.Popen([sys.executable, "-m", "switchlab.cli", "enumerate", "--list"],
+                            stdout=write, stderr=subprocess.PIPE, env=env)
+    os.close(write)
+    os.close(read)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""

@@ -15,6 +15,7 @@ from switchlab import (OracleSet, PermutationSet, SIGMA_STAR, all_products,
 from switchlab.fixed_order import FixedOrderCircuit, _check_circuit, _fidelities, _wire_states
 from switchlab.gates import NamedGate
 from switchlab.linalg import FIDELITY_FLOOR, InvariantViolation, random_unitary
+from switchlab.switch import _ordering_products
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +222,9 @@ def test_eight_slots_need_a_23_query_circuit_that_reproduces_the_switch():
 def test_promise_set_fidelities_match_dense_trace(star_circuit, m4, promise_sets):
     control, psi = m4.as_gate()[:, 0], random_state(2, np.random.default_rng(31))
     sets = promise_sets[1]
-    fids = _fidelities(star_circuit, np.stack([s.matrices() for s in sets]), control, psi)
+    mats = np.stack([s.matrices() for s in sets])
+    pis = _ordering_products(mats, star_circuit.perms.index)
+    fids = _fidelities(star_circuit, mats, control, psi, pis)
     assert len(fids) == 460 and fids.min() >= 1 - FIDELITY_FLOOR
     dense = [dense_fidelity(star_circuit, s, control, psi) for s in sets]
     assert np.max(np.abs(fids - dense)) <= 1e-12
@@ -236,7 +239,9 @@ def test_broken_plans_read_below_one_and_match_dense_trace(star_circuit, m4):
         for branch in range(star_circuit.perms.P):
             broken = broken_circuit(star_circuit, step, branch)
             orc, psi = random_oracle(rng), random_state(2, rng)
-            (f,) = _fidelities(broken, orc.matrices()[None], control, psi)
+            mats = orc.matrices()[None]
+            pis = _ordering_products(mats, broken.perms.index)
+            (f,) = _fidelities(broken, mats, control, psi, pis)
             assert abs(f - dense_fidelity(broken, orc, control, psi)) <= 1e-12
             assert f < 0.999
 
@@ -252,7 +257,7 @@ def test_branch_batched_simulation_matches_per_branch_loop(seed, n, p, n_sets):
     control, psi = random_state(perms.P, rng), random_state(2, rng)
     mats = np.stack([o.matrices() for o in oracles])
     batch = _wire_states(circuit, mats, psi)
-    fids = _fidelities(circuit, mats, control, psi)
+    fids = _fidelities(circuit, mats, control, psi, _ordering_products(mats, perms.index))
     for orc, states, f in zip(oracles, batch, fids):
         expected = per_branch_simulation(circuit, orc, control, psi)
         joint = np.stack([c * kron_all(wires) for c, wires in zip(control, states)])
@@ -264,12 +269,14 @@ def test_branch_batched_simulation_matches_per_branch_loop(seed, n, p, n_sets):
 
 def test_fidelity_from_the_product_memo_is_bit_identical(star_circuit, m4, promise_sets):
     # the scalar call takes the set's memoized products (for enumerated sets
-    # read from the word table); a stack of one computes them from the gates
+    # read from the word table); a stack of one gets them computed from the gates
     control, psi = m4.as_gate()[:, 0], random_state(2, np.random.default_rng(13))
     sets = promise_sets[1]
     got = np.array([switch_equivalence_fidelity(star_circuit, s, control, psi) for s in sets])
-    want = np.concatenate([_fidelities(star_circuit, s.matrices()[None], control, psi)
-                           for s in sets])
+    stacks = [s.matrices()[None] for s in sets]
+    want = np.concatenate([_fidelities(star_circuit, mats, control, psi,
+                                       _ordering_products(mats, star_circuit.perms.index))
+                           for mats in stacks])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 

@@ -14,15 +14,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from switchlab import (OracleSet, PermutationSet, SIGMA_STAR, all_products, basis_state,
-                       build_effective_ket, build_effective_process,
-                       build_switch_process_ket, chart_fixture, choi_vector,
-                       definite_order_process, enumerate_promise_sets, gate_set_G,
-                       kron_all, oracle_choi_ket, random_state, run_hadamard_algorithm,
-                       success_probability, superinstrument, uniform_witness,
-                       verify_ccgo_decomposition, witness_operator)
+                       build_effective_ket, build_effective_process, chart_fixture,
+                       choi_vector, definite_order_process, enumerate_promise_sets,
+                       fourier_matrix, gate_set_G, kron_all, oracle_choi_ket, pauli,
+                       random_state, run_hadamard_algorithm, success_probability,
+                       sylvester_hadamard, uniform_witness, verify_ccgo_decomposition,
+                       witness_operator)
 from switchlab.gates import NamedGate
 from switchlab.linalg import random_unitary
-from switchlab.processes import ProcessMatrix, WitnessOperator, _slot_step
+from switchlab.processes import ProcessMatrix, WitnessOperator, _chain, _slot_step
 
 LINK = np.array([1, 0, 0, 1], dtype=complex)
 # three slots: the cyclic orderings plus one transposition, 136 promise sets
@@ -42,6 +42,20 @@ def w_eff(m4):
 # ---------------------------------------------------------------------------
 # ideal wiring ket
 # ---------------------------------------------------------------------------
+
+def build_switch_process_ket(perms: PermutationSet = SIGMA_STAR) -> np.ndarray:
+    """Reference ideal wiring ket over (c_p, t_p, parties, t_f, c_f), the
+    wiring that ``build_effective_ket`` fixes the preparations and readout of.
+
+    Branch x carries |x> on both control registers and a chain of identity
+    links routing t_p through the gate slots in ordering x and out to t_f.
+    Squared norm is P * 2**(N+1) (orthogonal branches, N+1 links each).
+    """
+    ket = np.zeros((perms.P, 2) + (2,) * (2 * perms.N + 1) + (perms.P,), dtype=complex)
+    for x, sig in enumerate(perms.sigma):
+        ket[x, ..., x] = _chain(sig, np.eye(2))
+    return ket.reshape(-1)
+
 
 def test_switch_ket_norm():
     w4 = build_switch_process_ket(SIGMA_STAR)
@@ -195,12 +209,16 @@ def test_witness_is_psd_and_block_diagonal():
                 assert np.max(np.abs(blocks[:, y, :, y2])) < 1e-12
 
 
-def test_witness_weight_validation():
+def test_witness_weight_validation(w_eff):
     orc = chart_fixture("table1")[0]
     with pytest.raises(ValueError, match="sum to 1"):
         witness_operator([(orc, 0, 0.5)])
-    with pytest.raises(ValueError, match="out of range"):
-        witness_operator([(orc, 7, 1.0)])
+    with pytest.raises(ValueError, match="component outcome must be nonnegative, not -1"):
+        witness_operator([(orc, -1, 1.0)])
+    # the readout belongs to the process: outcome 7 is refused only where it is scored
+    g = witness_operator([(orc, 7, 1.0)])
+    with pytest.raises(ValueError, match="outcome 7 out of range for readout dim 4"):
+        success_probability(w_eff, g)
 
 
 def test_witness_rejects_non_finite_weights():
@@ -225,13 +243,15 @@ def test_witness_inputs_raise_value_errors(build, message):
         build(unverified)
 
 
-def _kron_witness(components):
-    """Reference dense witness: one kron per component, readout last."""
-    d = 4 ** components[0][0].N * 4
+def _kron_witness(components, p=None):
+    """Reference dense witness: one kron per component, readout last, on
+    ``p`` outcomes (by default the fewest that hold every outcome)."""
+    p = 1 + max(y for _, y, _ in components) if p is None else p
+    d = 4 ** components[0][0].N * p
     out = np.zeros((d, d), dtype=complex)
     for oracle, y, q in components:
         g = oracle_choi_ket(oracle).conj()
-        proj = np.zeros((4, 4))
+        proj = np.zeros((p, p))
         proj[y, y] = 1.0
         out += q * np.kron(np.outer(g, g.conj()), proj)
     return out
@@ -252,7 +272,8 @@ def test_witness_matrix_at_two_and_three_gates_matches_kron_reference():
         comps = [(random_oracle(rng, n), int(rng.integers(0, 4)), q)
                  for q in rng.dirichlet(np.ones(3))]
         g = witness_operator(comps)
-        assert g.N == n and g.matrix().shape == (4 ** n * 4,) * 2
+        p = 1 + max(y for _, y, _ in comps)
+        assert g.N == n and g.matrix().shape == (4 ** n * p,) * 2
         assert_allclose(g.matrix(), _kron_witness(comps), atol=1e-12)
         assert abs(np.trace(g.matrix()).real - 2.0 ** n) < 1e-9
 
@@ -366,6 +387,36 @@ def test_every_promise_set_scores_unity_at_other_slot_counts(m4, perms, per_colu
     assert np.max(np.abs(np.array(values) - 1.0)) <= 1e-12
 
 
+# the eight-label set whose supersequence length of 23 is pinned in test_fixed_order
+EIGHT = PermutationSet.from_strings(["ABCDEFGH", "CEDGFABH", "GCHEFBAD", "DCBHGAFE",
+                                     "FEDAHCBG", "CBDGAFEH", "EHGFABCD", "BAECDFGH"])
+
+
+def test_a_qubit_target_scores_unity_at_eight_slots():
+    # the readout comes from the process, so the eight-outcome witness scores
+    census, sets = enumerate_promise_sets([pauli(n) for n in "IZXY"], EIGHT,
+                                          sylvester_hadamard(3))
+    assert census.per_column == (1432, 480, 504, 432, 432, 456, 576, 456)
+    w = build_effective_process(basis_state(2, 0), sylvester_hadamard(3), EIGHT)
+    assert (w.N, w.P) == (8, 8) and abs(w.trace - 256.0) < 1e-9
+    g = uniform_witness(sets[::16])
+    assert len(g.components) == 298
+    assert {y for _, y, _ in g.components} == set(range(8))
+    assert abs(success_probability(w, g) - 1.0) <= 1e-12
+
+
+def test_witness_outcomes_are_checked_against_the_process_readout():
+    # three cyclic orderings under the Fourier phases: a three-outcome readout
+    cyclic = PermutationSet.from_strings(["ABC", "BCA", "CAB"])
+    w = build_effective_process(basis_state(2, 0), fourier_matrix(3), cyclic)
+    assert (w.N, w.P) == (3, 3) and abs(w.trace - 8.0) < 1e-9
+    orc = random_oracle(np.random.default_rng(24), 3)
+    g = witness_operator([(orc, 2, 0.5), (orc, 3, 0.5)])
+    with pytest.raises(ValueError, match="outcome 3 out of range for readout dim 3"):
+        success_probability(w, g)
+    assert 0.0 <= success_probability(w, witness_operator([(orc, 2, 1.0)])) <= 1.0
+
+
 @settings(max_examples=25, deadline=None)
 @given(rank=st.integers(1, 4), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_factored_evaluation_matches_dense(rank, n, seed):
@@ -376,22 +427,20 @@ def test_factored_evaluation_matches_dense(rank, n, seed):
     comps = [(random_oracle(rng), int(rng.integers(0, 4)), q)
              for q in rng.dirichlet(np.ones(n))]
     g = WitnessOperator(comps)
-    dense_g = _kron_witness(comps)
-    assert_allclose(g.matrix(), dense_g, atol=1e-12)
-    dense = float(np.real(np.sum(dense_g * w.matrix.T)))
+    assert_allclose(g.matrix(), _kron_witness(comps), atol=1e-12)
+    dense = float(np.real(np.sum(_kron_witness(comps, 4) * w.matrix.T)))
     assert abs(success_probability(w, g) - dense) < 1e-12
 
-    si = superinstrument(w)
     m = w.matrix.reshape(256, 4, 256, 4)
-    for y in range(4):
-        assert_allclose(si[y], m[:, y, :, y], atol=1e-14)
+    for y, block in enumerate(_superinstrument(w)):
+        assert_allclose(block, m[:, y, :, y], atol=1e-14)
 
 
 def test_structured_evaluation_matches_dense_trace(w_eff):
     rng = np.random.default_rng(4)
     orc = random_oracle(rng)
     g = witness_operator([(orc, 2, 0.7), (chart_fixture("table1")[1], 1, 0.3)])
-    dense = float(np.real(np.einsum("ab,ba->", g.matrix(), w_eff.matrix)))
+    dense = float(np.real(np.einsum("ab,ba->", _kron_witness(g.components, 4), w_eff.matrix)))
     assert abs(success_probability(w_eff, g) - dense) < 1e-9
 
 
@@ -399,20 +448,36 @@ def test_structured_evaluation_matches_dense_trace(w_eff):
 # superinstrument reduction
 # ---------------------------------------------------------------------------
 
+def _superinstrument(w: ProcessMatrix) -> np.ndarray:
+    """Per-outcome blocks W[y] = Tr_c[(1 (x) |y><y|) W] = A_y A_y^dagger, with
+    A_y = factor[:, y], stacked as (P, 4**N, 4**N)."""
+    return np.array([a @ a.conj().T for a in w.factor.swapaxes(0, 1)])
+
+
 def test_superinstrument_parts_sum_to_total_trace(w_eff):
-    si = superinstrument(w_eff)
-    assert si.shape == (4, 256, 256) and not si.flags.writeable
-    assert abs(sum(np.trace(p).real for p in si) - w_eff.trace) < 1e-9
+    # the block traces are ||A_y||^2, read from the factor without a dense block
+    traces = [float(np.vdot(a, a).real) for a in w_eff.factor.swapaxes(0, 1)]
+    blocks = _superinstrument(w_eff)
+    assert blocks.shape == (4, 256, 256)
+    assert_allclose(traces, [np.trace(b).real for b in blocks], rtol=0, atol=1e-12)
+    assert abs(sum(traces) - w_eff.trace) < 1e-9
 
 
-def test_superinstrument_extracts_diagonal_blocks():
+def test_superinstrument_extracts_diagonal_blocks(m4):
+    # the blocks of outcome y in the dense W, for a full-rank-16 factor, an
+    # effective process and a factor with zero rows
     rng = np.random.default_rng(5)
     a = rng.normal(size=(1024, 16)) + 1j * rng.normal(size=(1024, 16))
-    rho = a @ a.conj().T
-    si = superinstrument(ProcessMatrix(a.reshape(256, 4, 16)))
-    arr = rho.reshape(256, 4, 256, 4)
+    rho = (a @ a.conj().T).reshape(256, 4, 256, 4)
+    blocks = _superinstrument(ProcessMatrix(a.reshape(256, 4, 16)))
     for y in range(4):
-        assert_allclose(si[y], arr[:, y, :, y], atol=1e-12)
+        assert_allclose(blocks[y], rho[:, y, :, y], atol=1e-12)
+    rng = np.random.default_rng(20)
+    for f in (build_effective_process(random_state(2, rng), m4).factor, _factor_with_zero_rows()):
+        w = ProcessMatrix(f)
+        m = w.matrix.reshape(256, f.shape[1], 256, f.shape[1])
+        for y, block in enumerate(_superinstrument(w)):
+            assert_allclose(m[:, y, :, y], block, rtol=0, atol=1e-15)
 
 
 def test_superinstrument_consistency_on_random_process():
@@ -423,18 +488,21 @@ def test_superinstrument_consistency_on_random_process():
     w = ProcessMatrix(a.reshape(256, 4, 64))
     orc = random_oracle(rng)
     g = witness_operator([(orc, 1, 1.0)])
-    dense = float(np.real(np.einsum("ab,ba->", g.matrix(), w.matrix)))
+    dense = float(np.real(np.einsum("ab,ba->", _kron_witness(g.components, 4), w.matrix)))
+    # the witness's readout holds outcomes 0 and 1; the blocks beyond it are zero
     blockwise = sum(
         float(np.real(np.einsum("ab,ba->", gy, wy)))
-        for gy, wy in zip(_witness_blocks(g), superinstrument(w))
+        for gy, wy in zip(_witness_blocks(g), _superinstrument(w))
     )
     assert abs(dense - blockwise) < 1e-9
     assert abs(success_probability(w, g) - dense) < 1e-9
 
 
 def _witness_blocks(g: WitnessOperator):
-    mat = g.matrix().reshape(256, 4, 256, 4)
-    return [mat[:, y, :, y] for y in range(4)]
+    mat = g.matrix()
+    p = len(mat) // 256
+    mat = mat.reshape(256, p, 256, p)
+    return [mat[:, y, :, y] for y in range(p)]
 
 
 def test_process_rows_must_be_whole_readout_blocks():
@@ -445,17 +513,17 @@ def test_process_rows_must_be_whole_readout_blocks():
         with pytest.raises(ValueError, match=r"is not \(4\*\*N, P, r\)"):
             ProcessMatrix(np.ones(shape))
     w8 = ProcessMatrix(np.eye(256 * 8, 3).reshape(256, 8, 3))
-    assert (w8.N, w8.P) == (4, 8) and superinstrument(w8).shape == (8, 256, 256)
-    # the same row count read as three slots with a 16-outcome readout
-    w16 = ProcessMatrix(np.eye(256 * 8, 3).reshape(64, 32, 3))
-    assert (w16.N, w16.P) == (3, 32) and superinstrument(w16).shape == (32, 64, 64)
+    assert (w8.N, w8.P) == (4, 8)
+    # the same row count read as three slots with a 32-outcome readout
+    w32 = ProcessMatrix(np.eye(256 * 8, 3).reshape(64, 32, 3))
+    assert (w32.N, w32.P) == (3, 32)
 
 
 def test_dense_forms_refuse_more_than_2048_rows(m4):
     # at N = 5 each dense form would hold 4096**2 complex entries (268 MB);
-    # the refusal comes before any allocation
+    # the refusal comes before any allocation (outcome 3: a four-outcome witness)
     w = build_effective_process(basis_state(2, 0), m4, SIGMA_5)
-    g = uniform_witness([OracleSet(random_oracle(np.random.default_rng(8), 5).gates, claimed_y=0)])
+    g = uniform_witness([OracleSet(random_oracle(np.random.default_rng(8), 5).gates, claimed_y=3)])
     tracemalloc.start()
     try:
         for build in (lambda: w.matrix, g.matrix):
@@ -523,25 +591,15 @@ def test_witness_matrix_is_bit_equal_to_the_full_row_product(promise_sets):
         assert np.array_equal(g.matrix(), _full_row_witness(g))
 
 
-def test_superinstrument_matches_the_block_products(m4):
-    rng = np.random.default_rng(20)
-    for f in (build_effective_process(random_state(2, rng), m4).factor, _factor_with_zero_rows()):
-        w = ProcessMatrix(f)
-        blocks = f.swapaxes(0, 1)
-        assert_allclose(superinstrument(w), [b @ b.conj().T for b in blocks], rtol=0, atol=1e-15)
-
-
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="a BLAS worker thread needs a second CPU")
 def test_dense_builds_leave_no_blas_thread_spinning(m4):
     # a threaded BLAS product leaves an idle OpenBLAS worker busy-waiting for
     # about 130 ms, which shows as process CPU time while the caller sleeps
-    w = build_effective_process(basis_state(2, 0), m4)
     builds = {
         "comb": lambda: definite_order_process("ABCD", basis_state(2, 0), 1).matrix,
         "effective process": lambda: build_effective_process(basis_state(2, 0), m4).matrix,
         "thirty witness": lambda: uniform_witness(chart_fixture("thirty")).matrix(),
-        "superinstrument": lambda: superinstrument(w),
     }
     time.sleep(0.3)   # a worker woken by an earlier test goes idle first
     for name, build in builds.items():
