@@ -463,15 +463,19 @@ def test_superinstrument_parts_sum_to_total_trace(w_eff):
     assert abs(sum(traces) - w_eff.trace) < 1e-9
 
 
-def test_superinstrument_extracts_diagonal_blocks(m4):
-    # the blocks of outcome y in the dense W, for a full-rank-16 factor, an
-    # effective process and a factor with zero rows
+def test_superinstrument_extracts_diagonal_blocks():
+    # the blocks of outcome y in the dense W, for a full-rank-16 factor
     rng = np.random.default_rng(5)
     a = rng.normal(size=(1024, 16)) + 1j * rng.normal(size=(1024, 16))
     rho = (a @ a.conj().T).reshape(256, 4, 256, 4)
     blocks = _superinstrument(ProcessMatrix(a.reshape(256, 4, 16)))
     for y in range(4):
         assert_allclose(blocks[y], rho[:, y, :, y], atol=1e-12)
+
+
+def test_superinstrument_matches_the_block_products(m4):
+    # the outcome-y blocks of the dense W are A_y A_y^dagger, for an effective
+    # process and a factor with zero rows
     rng = np.random.default_rng(20)
     for f in (build_effective_process(random_state(2, rng), m4).factor, _factor_with_zero_rows()):
         w = ProcessMatrix(f)
